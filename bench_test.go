@@ -8,8 +8,7 @@
 // the whole harness completes in minutes on a laptop; the CLI
 // (cmd/p2pgridsim -scale paper) reproduces the full 1000-node, 36-hour
 // setting. The qualitative relationships - who wins, in which order, where
-// the crossovers fall - hold at every scale; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// the crossovers fall - hold at every scale.
 package repro_test
 
 import (
@@ -65,14 +64,14 @@ func BenchmarkFig3Example(b *testing.B) {
 // ACT and AE and the best competitor ACT.
 func BenchmarkFig4to6Static(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.StaticComparison(benchScale, benchSeed)
+		res, err := experiments.StaticComparisonRep(benchScale, benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var dsmfACT, dsmfAE float64
-		for _, r := range results {
-			if r.Algo == "DSMF" {
-				dsmfACT, dsmfAE = r.Final.ACT, r.Final.AE
+		for _, c := range res.Cells {
+			if c.Algo == "DSMF" {
+				dsmfACT, dsmfAE = c.Stats[0].Final.ACT, c.Stats[0].Final.AE
 			}
 		}
 		b.ReportMetric(dsmfACT, "DSMF-ACT(s)")
@@ -84,7 +83,7 @@ func BenchmarkFig4to6Static(b *testing.B) {
 // numbers (4 algorithms x 2 variants).
 func BenchmarkFCFSAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		table, results, err := experiments.FCFSAblation(benchScale, benchSeed)
+		table, res, err := experiments.FCFSAblation(benchScale, benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,8 +94,8 @@ func BenchmarkFCFSAblation(b *testing.B) {
 		// algorithm pairs: positive means the second phase helps, the
 		// paper's conclusion ("FCFS is not suggested").
 		var gap float64
-		for i := 0; i < len(results); i += 2 {
-			gap += results[i+1].Final.ACT - results[i].Final.ACT
+		for i := 0; i < len(res.Cells); i += 2 {
+			gap += res.Cells[i+1].Agg.ACT.Mean - res.Cells[i].Agg.ACT.Mean
 		}
 		b.ReportMetric(gap/4, "meanACTgap(s)")
 	}
@@ -106,7 +105,7 @@ func BenchmarkFCFSAblation(b *testing.B) {
 // per algorithm per load factor 1..3 at bench scale; the paper sweeps 1..8).
 func BenchmarkFig7and8LoadFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		act, ae, err := experiments.LoadFactorSweep(benchScale, benchSeed, 3)
+		act, ae, err := experiments.LoadFactorSweepRep(benchScale, benchSeed, 3, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +121,7 @@ func BenchmarkFig9and10CCR(b *testing.B) {
 	scale := benchScale
 	scale.HorizonHours = 8
 	for i := 0; i < b.N; i++ {
-		act, ae, err := experiments.CCRSweep(scale, benchSeed)
+		act, ae, err := experiments.CCRSweepRep(scale, benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,18 +132,17 @@ func BenchmarkFig9and10CCR(b *testing.B) {
 }
 
 // BenchmarkFig11Scalability regenerates the scalability panels: DSMF at
-// increasing system sizes, reporting the Fig. 11(a) gossip space bound for
-// the largest size.
+// increasing system sizes (30, 60, 90 nodes), reporting the Fig. 11(a)
+// gossip space bound for the largest size.
 func BenchmarkFig11Scalability(b *testing.B) {
-	sizes := []int{40, 80, 120}
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.ScalabilitySweep(benchScale, benchSeed, sizes)
+		res, err := experiments.ScalabilitySweep(benchScale, benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last := points[len(points)-1]
-		b.ReportMetric(last.RSSSize, "RSS@120")
-		b.ReportMetric(last.IdleKnown, "idle@120")
+		last := res.Cells[len(res.Cells)-1].Stats[0].Final
+		b.ReportMetric(last.MeanRSS, "RSS@90")
+		b.ReportMetric(last.MeanIdleKnown, "idle@90")
 	}
 }
 
@@ -152,12 +150,12 @@ func BenchmarkFig11Scalability(b *testing.B) {
 // dynamic factors 0, 0.2 and 0.4, reporting the df=0.4 throughput ratio.
 func BenchmarkFig12to14Churn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.ChurnSweep(benchScale, benchSeed, []float64{0, 0.2, 0.4}, false)
+		res, err := experiments.ChurnSweepRep(benchScale, benchSeed, []float64{0, 0.2, 0.4}, false, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		base := float64(results[0].Final.Completed)
-		worst := float64(results[2].Final.Completed)
+		base := float64(res.Cells[0].Stats[0].Final.Completed)
+		worst := float64(res.Cells[2].Stats[0].Final.Completed)
 		if base > 0 {
 			b.ReportMetric(worst/base, "df0.4/df0-throughput")
 		}
@@ -169,18 +167,16 @@ func BenchmarkFig12to14Churn(b *testing.B) {
 // completion fraction.
 func BenchmarkRescheduleExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		plain, err := experiments.ChurnSweep(benchScale, benchSeed, []float64{0.2}, false)
+		plain, err := experiments.ChurnSweepRep(benchScale, benchSeed, []float64{0.2}, false, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resched, err := experiments.ChurnSweep(benchScale, benchSeed, []float64{0.2}, true)
+		resched, err := experiments.ChurnSweepRep(benchScale, benchSeed, []float64{0.2}, true, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if plain[0].Submitted > 0 {
-			b.ReportMetric(float64(plain[0].Final.Completed)/float64(plain[0].Submitted), "plain-completion")
-			b.ReportMetric(float64(resched[0].Final.Completed)/float64(resched[0].Submitted), "resched-completion")
-		}
+		b.ReportMetric(plain.Cells[0].Agg.CompletionRate.Mean, "plain-completion")
+		b.ReportMetric(resched.Cells[0].Agg.CompletionRate.Mean, "resched-completion")
 	}
 }
 
@@ -247,7 +243,7 @@ func BenchmarkPlannerShootout(b *testing.B) {
 }
 
 // BenchmarkChurnModelAblation measures the graceful-vs-harsh loss model
-// gap DESIGN.md documents.
+// gap: the paper leaves the loss on departure unspecified.
 func BenchmarkChurnModelAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		table, err := experiments.ChurnModelAblation(benchScale, benchSeed, 0.2)
@@ -274,12 +270,13 @@ func BenchmarkFamilyComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicatedAblation measures the 3-seed Section IV.B ablation.
+// BenchmarkReplicatedAblation measures the Section IV.B ablation
+// replicated over 2 seeds.
 func BenchmarkReplicatedAblation(b *testing.B) {
 	scale := benchScale
 	scale.HorizonHours = 6
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.ReplicatedFCFSAblation(scale, benchSeed, 2)
+		table, _, err := experiments.FCFSAblation(scale, benchSeed, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

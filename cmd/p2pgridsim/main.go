@@ -14,11 +14,12 @@
 //	fig3          the worked two-workflow example (RPMs, scheduling orders)
 //	fig4-6        static comparison of the eight algorithms (three figures);
 //	              -reps N>1 replicates it over N seeds and adds error bars
-//	fcfs          Section IV.B second-phase-vs-FCFS ablation
-//	fcfs-rep      the same ablation replicated over seeds (mean ± std)
+//	fcfs          Section IV.B second-phase-vs-FCFS ablation (-reps N>1
+//	              reports mean ± 95% CI over N seeds)
 //	fig7-8        load factor sweep (ACT and AE tables; -reps adds ± CI)
 //	fig9-10       CCR sweep (ACT and AE tables; -reps adds ± CI)
-//	fig11         scalability sweep (gossip space bound, AE, ACT)
+//	fig11         scalability sweep of DSMF over system sizes (gossip space
+//	              bound, AE, ACT): the -axes scale sweep; -reps adds ± CI
 //	arrival       ACT/AE vs arrival intensity (Poisson ladder up to the
 //	              batch endpoint, 95% CIs with -reps > 1); -trace FILE
 //	              adds a trace-replay column ("sample" = bundled trace)
@@ -35,7 +36,8 @@
 //	report        markdown reproduction report with live shape checks
 //	sweep         multi-seed scenario sweep: -axes picks the scenario axes,
 //	              -reps the replications, -out the JSON destination
-//	all           everything above (except sweep) in sequence
+//	all           every experiment above except single, arrival, sla, report
+//	              and sweep, in sequence
 //
 // Workloads need not arrive in one batch: -arrival attaches an arrival
 // process (poisson:RATE, mmpp:RATE[:BURST], diurnal:RATE[:PERIODH], rates
@@ -139,7 +141,7 @@ type options struct {
 	algo       string
 	maxLF      int
 	reps       int
-	repsSet    bool // -reps given explicitly (fcfs-rep keeps its own default otherwise)
+	repsSet    bool // -reps given explicitly (-precision caps cells only then)
 	axes       string
 	out        string
 	artifacts  string
@@ -231,8 +233,8 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 2010, "root random seed")
 		algo    = fs.String("algo", "DSMF", "algorithm for -experiment single")
 		maxLF   = fs.Int("maxlf", 8, "largest load factor for fig7-8 and the sweep lf axis")
-		reps    = fs.Int("reps", 1, "seed replications for fig4-6/fig7-8/fig9-10/sweep (error bars need > 1)")
-		axes    = fs.String("axes", "algo", "comma-separated sweep axes: algo,churn,lf,ccr,scale,arrival")
+		reps    = fs.Int("reps", 1, "seed replications for fig4-6, fcfs, fig7-8, fig9-10, fig11, arrival, sla, fig12-14, reschedule and sweep (error bars need > 1)")
+		axes    = fs.String("axes", "algo", "comma-separated sweep axes: algo,churn,lf,ccr,scale,arrival,sla")
 		out     = fs.String("out", "", "write sweep JSON to this file (default: stdout)")
 		shard   = fs.String("shard", "", "run only shard i/n of the sweep job matrix (e.g. 0/2) and emit a mergeable partial result")
 		merge   = fs.String("merge", "", "comma-separated shard JSON files to merge into the full sweep result (no simulation)")
@@ -462,10 +464,9 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "p2pgridsim:", err)
 			return 2
 		}
-		switch o.experiment {
-		case "single", "sweep", "arrival":
-		default:
-			fmt.Fprintf(stderr, "p2pgridsim: -arrival/-trace/-model only apply to single, sweep and arrival; %q runs the batch workload\n", o.experiment)
+		if e := lookupExperiment(o.experiment); e == nil || !e.arrival {
+			fmt.Fprintf(stderr, "p2pgridsim: -arrival/-trace/-model only apply to %s; %q runs the batch workload\n",
+				experimentsWhere(func(e experiment) bool { return e.arrival }), o.experiment)
 		}
 	}
 	if o.sla != "" || o.price != "" {
@@ -475,10 +476,9 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "p2pgridsim:", err)
 			return 2
 		}
-		switch o.experiment {
-		case "single", "sweep":
-		default:
-			fmt.Fprintf(stderr, "p2pgridsim: -sla/-price only apply to single and sweep; %q runs without contracts\n", o.experiment)
+		if e := lookupExperiment(o.experiment); e == nil || !e.economy {
+			fmt.Fprintf(stderr, "p2pgridsim: -sla/-price only apply to %s; %q runs without contracts\n",
+				experimentsWhere(func(e experiment) bool { return e.economy }), o.experiment)
 		}
 	}
 	// run (not cliMain) owns the profile lifecycles so they close properly
@@ -503,7 +503,7 @@ func run(o options, cpuProf, memProf string) error {
 		defer pprof.StopCPUProfile()
 	}
 	start := time.Now()
-	dispatchErr := dispatch(o, o.experiment)
+	dispatchErr := dispatch(o)
 	if dispatchErr == nil {
 		fmt.Fprintf(o.stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
@@ -551,150 +551,193 @@ func (o options) exportSeries(sets ...experiments.SeriesSet) error {
 	return nil
 }
 
-func dispatch(o options, name string) error {
-	stdout := o.stdout
-	switch name {
-	case "table1":
-		fmt.Fprintln(stdout, experiments.TableI().Format())
-	case "single":
-		aspec, tr, err := o.arrivalSetup()
+// experiment is one -experiment mode. arrival and economy mark the modes
+// that consume -arrival/-trace/-model and -sla/-price; inAll marks the
+// modes -experiment all runs, in table order.
+type experiment struct {
+	name             string
+	run              func(options) error
+	inAll            bool
+	arrival, economy bool
+}
+
+// experimentTable is every -experiment mode except "all", which runs the
+// inAll entries in sequence. Table order is also the order in which the
+// -arrival and -sla warnings list the modes that take those flags.
+var experimentTable = []experiment{
+	{name: "table1", inAll: true, run: func(o options) error {
+		return o.printTable(experiments.TableI(), nil)
+	}},
+	{name: "single", arrival: true, economy: true, run: runSingle},
+	{name: "sweep", arrival: true, economy: true, run: runSweep},
+	{name: "fig3", inAll: true, run: func(o options) error {
+		fmt.Fprintln(o.stdout, experiments.Fig3Report())
+		return nil
+	}},
+	{name: "fig4-6", inAll: true, run: runStatic},
+	{name: "fcfs", inAll: true, run: func(o options) error {
+		table, _, err := experiments.FCFSAblation(o.scale, o.seed, o.reps)
+		return o.printTable(table, err)
+	}},
+	{name: "fig7-8", inAll: true, run: func(o options) error {
+		return o.printTables(experiments.LoadFactorSweepRep(o.scale, o.seed, o.maxLF, o.reps))
+	}},
+	{name: "fig9-10", inAll: true, run: func(o options) error {
+		return o.printTables(experiments.CCRSweepRep(o.scale, o.seed, o.reps))
+	}},
+	{name: "fig11", inAll: true, run: func(o options) error {
+		res, err := experiments.ScalabilitySweep(o.scale, o.seed, o.reps)
 		if err != nil {
 			return err
 		}
-		setting := experiments.NewSetting(o.scale, o.seed)
-		setting.Arrival = aspec
-		if tr != nil {
-			setting.Trace = tr.Jobs
-		}
-		setting.SLA, setting.Price, err = o.economySetup()
-		if err != nil {
-			return err
-		}
-		setting.Shards = o.shards
-		var tb *trace.Buffer
-		if o.traceOut != "" || o.gantt {
-			// Ring buffer: a small-scale run emits a few hundred thousand
-			// lifecycle events at most; if a paper-scale run overflows the
-			// ring, the oldest spans drop and the export simply starts later.
-			tb = trace.NewBuffer(1 << 18)
-			setting.Tracer = tb
-		}
-		res, err := experiments.SingleRunWith(setting, o.algo)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s at %s scale (%d nodes, %d workflows, %.0f h):\n",
-			res.Algo, o.scale.Name, o.scale.Nodes, res.Submitted, o.scale.HorizonHours)
-		if res.Unsubmitted > 0 || res.Dropped > 0 {
-			fmt.Fprintf(stdout, "note: %d workflows arrived after the horizon (never entered the grid) and %d were dropped at dead homes; completion is relative to all %d\n",
-				res.Unsubmitted, res.Dropped, res.Submitted)
-		}
-		fmt.Fprintln(stdout, res.Collector.FormatSeries())
-		if sla := res.Final.SLA; sla != nil {
-			fmt.Fprintf(stdout, "sla: deadline misses %d/%d, budget violations %d/%d, fallbacks %d, spend %.0f (%.0f per completed workflow)\n",
-				sla.DeadlineMisses, sla.DeadlineWorkflows,
-				sla.BudgetViolations, sla.BudgetWorkflows,
-				sla.Fallbacks, sla.TotalSpend, sla.MeanSpend)
-		}
-		if o.gantt {
-			fmt.Fprintln(stdout, tb.Gantt(0, o.scale.HorizonHours*3600, 100))
-		}
-		if o.traceOut != "" {
-			doc := obs.BuildChromeTrace(tb.Events())
-			data, err := doc.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(o.traceOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(o.stderr, "wrote %s (%d trace events; load it in Perfetto or chrome://tracing)\n", o.traceOut, len(doc.TraceEvents))
-		}
-	case "fig3":
-		fmt.Fprintln(stdout, experiments.Fig3Report())
-	case "fig4-6":
-		return runStatic(o)
-	case "fcfs":
-		table, _, err := experiments.FCFSAblation(o.scale, o.seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, table.Format())
-	case "fcfs-rep":
-		reps := o.reps
-		if !o.repsSet {
-			reps = 3 // the historical default of this mode
-		}
-		table, err := experiments.ReplicatedFCFSAblation(o.scale, o.seed, reps)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, table.Format())
-	case "fig7-8":
-		act, ae, err := experiments.LoadFactorSweepRep(o.scale, o.seed, o.maxLF, o.reps)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, act.Format())
-		fmt.Fprintln(stdout, ae.Format())
-	case "fig9-10":
-		act, ae, err := experiments.CCRSweepRep(o.scale, o.seed, o.reps)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, act.Format())
-		fmt.Fprintln(stdout, ae.Format())
-	case "fig11":
-		return runScalability(o)
-	case "fig12-14":
-		return runChurn(o, false)
-	case "reschedule":
-		return runChurn(o, true)
-	case "oracle":
-		table, err := experiments.OracleAblation(o.scale, o.seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, table.Format())
-	case "planners":
-		table, err := experiments.PlannerShootout(o.scale, o.seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, table.Format())
-	case "churn-model":
-		table, err := experiments.ChurnModelAblation(o.scale, o.seed, 0.2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, table.Format())
-	case "report":
+		return o.printTable(experiments.ScalabilityTable(res), nil)
+	}},
+	{name: "arrival", arrival: true, run: runArrival},
+	{name: "sla", run: runSLA},
+	{name: "fig12-14", inAll: true, run: func(o options) error { return runChurn(o, false) }},
+	{name: "reschedule", inAll: true, run: func(o options) error { return runChurn(o, true) }},
+	{name: "oracle", inAll: true, run: func(o options) error {
+		return o.printTable(experiments.OracleAblation(o.scale, o.seed))
+	}},
+	{name: "planners", inAll: true, run: func(o options) error {
+		return o.printTable(experiments.PlannerShootout(o.scale, o.seed))
+	}},
+	{name: "churn-model", inAll: true, run: func(o options) error {
+		return o.printTable(experiments.ChurnModelAblation(o.scale, o.seed, 0.2))
+	}},
+	{name: "families", inAll: true, run: func(o options) error {
+		return o.printTable(experiments.FamilyComparison(o.scale, o.seed))
+	}},
+	{name: "report", run: func(o options) error {
 		out, err := experiments.Report(o.scale, o.seed)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, out)
-	case "families":
-		table, err := experiments.FamilyComparison(o.scale, o.seed)
-		if err != nil {
-			return err
+		fmt.Fprintln(o.stdout, out)
+		return nil
+	}},
+}
+
+// lookupExperiment returns the table entry named name, or nil.
+func lookupExperiment(name string) *experiment {
+	for i := range experimentTable {
+		if experimentTable[i].name == name {
+			return &experimentTable[i]
 		}
-		fmt.Fprintln(stdout, table.Format())
-	case "arrival":
-		return runArrival(o)
-	case "sla":
-		return runSLA(o)
-	case "sweep":
-		return runSweep(o)
-	case "all":
-		for _, n := range []string{"table1", "fig3", "fig4-6", "fcfs", "fig7-8", "fig9-10", "fig11", "fig12-14", "reschedule", "oracle", "planners", "churn-model", "families"} {
-			fmt.Fprintf(stdout, "==== %s ====\n", n)
-			if err := dispatch(o, n); err != nil {
+	}
+	return nil
+}
+
+// experimentsWhere lists the names of the entries keep selects, in table
+// order, as "a, b and c".
+func experimentsWhere(keep func(experiment) bool) string {
+	var names []string
+	for _, e := range experimentTable {
+		if keep(e) {
+			names = append(names, e.name)
+		}
+	}
+	if len(names) < 2 {
+		return strings.Join(names, "")
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1]
+}
+
+func dispatch(o options) error {
+	if o.experiment == "all" {
+		for _, e := range experimentTable {
+			if !e.inAll {
+				continue
+			}
+			fmt.Fprintf(o.stdout, "==== %s ====\n", e.name)
+			if err := e.run(o); err != nil {
 				return err
 			}
 		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+		return nil
+	}
+	e := lookupExperiment(o.experiment)
+	if e == nil {
+		return fmt.Errorf("unknown experiment %q", o.experiment)
+	}
+	return e.run(o)
+}
+
+// printTable writes t and a blank line to stdout, or returns err. Its
+// parameters match a one-table experiment runner's results, so
+// o.printTable(runner(...)) prints whatever the runner returns.
+func (o options) printTable(t experiments.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(o.stdout, t.Format())
+	return err
+}
+
+// printTables is printTable for the runners that return two tables.
+func (o options) printTables(a, b experiments.Table, err error) error {
+	if err := o.printTable(a, err); err != nil {
+		return err
+	}
+	return o.printTable(b, nil)
+}
+
+// runSingle runs one simulation of -algo and prints its snapshot series,
+// plus the SLA summary, Gantt chart or Chrome trace when asked.
+func runSingle(o options) error {
+	stdout := o.stdout
+	aspec, tr, err := o.arrivalSetup()
+	if err != nil {
+		return err
+	}
+	setting := experiments.NewSetting(o.scale, o.seed)
+	setting.Arrival = aspec
+	if tr != nil {
+		setting.Trace = tr.Jobs
+	}
+	setting.SLA, setting.Price, err = o.economySetup()
+	if err != nil {
+		return err
+	}
+	setting.Shards = o.shards
+	var tb *trace.Buffer
+	if o.traceOut != "" || o.gantt {
+		// Ring buffer: a small-scale run emits a few hundred thousand
+		// lifecycle events at most; if a paper-scale run overflows the
+		// ring, the oldest spans drop and the export simply starts later.
+		tb = trace.NewBuffer(1 << 18)
+		setting.Tracer = tb
+	}
+	res, err := experiments.SingleRunWith(setting, o.algo)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s at %s scale (%d nodes, %d workflows, %.0f h):\n",
+		res.Algo, o.scale.Name, o.scale.Nodes, res.Submitted, o.scale.HorizonHours)
+	if res.Unsubmitted > 0 || res.Dropped > 0 {
+		fmt.Fprintf(stdout, "note: %d workflows arrived after the horizon (never entered the grid) and %d were dropped at dead homes; completion is relative to all %d\n",
+			res.Unsubmitted, res.Dropped, res.Submitted)
+	}
+	fmt.Fprintln(stdout, res.Collector.FormatSeries())
+	if sla := res.Final.SLA; sla != nil {
+		fmt.Fprintf(stdout, "sla: deadline misses %d/%d, budget violations %d/%d, fallbacks %d, spend %.0f (%.0f per completed workflow)\n",
+			sla.DeadlineMisses, sla.DeadlineWorkflows,
+			sla.BudgetViolations, sla.BudgetWorkflows,
+			sla.Fallbacks, sla.TotalSpend, sla.MeanSpend)
+	}
+	if o.gantt {
+		fmt.Fprintln(stdout, tb.Gantt(0, o.scale.HorizonHours*3600, 100))
+	}
+	if o.traceOut != "" {
+		doc := obs.BuildChromeTrace(tb.Events())
+		data, err := doc.JSON()
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.traceOut, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(o.stderr, "wrote %s (%d trace events; load it in Perfetto or chrome://tracing)\n", o.traceOut, len(doc.TraceEvents))
 	}
 	return nil
 }
@@ -732,14 +775,7 @@ func sweepSpecFromAxes(axes string, sc experiments.Scale, seed int64, reps, maxL
 		case "sla":
 			spec.SLAs = experiments.SLACasesFor(sc)
 		case "scale":
-			var scales []experiments.Scale
-			for _, n := range experiments.ScalabilitySizes(sc) {
-				s := sc
-				s.Name = fmt.Sprintf("%s-n%d", sc.Name, n)
-				s.Nodes = n
-				scales = append(scales, s)
-			}
-			spec.Scales = scales
+			spec.Scales = experiments.ScalabilityScales(sc)
 		case "":
 			// Empty axes list (or a trailing comma): keep the defaults.
 		default:
@@ -953,13 +989,7 @@ func runArrival(o options) error {
 	if err != nil {
 		return err
 	}
-	act, ae, err := experiments.ArrivalSweepRep(o.scale, o.seed, o.reps, tr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(o.stdout, act.Format())
-	fmt.Fprintln(o.stdout, ae.Format())
-	return nil
+	return o.printTables(experiments.ArrivalSweepRep(o.scale, o.seed, o.reps, tr))
 }
 
 // runSLA prints the economic figure: deadline-miss rate and spend per
@@ -969,13 +999,7 @@ func runSLA(o options) error {
 	if o.sla != "" || o.price != "" {
 		return fmt.Errorf("-experiment sla runs a fixed deadline ladder; -sla/-price only apply to single/sweep")
 	}
-	miss, spend, err := experiments.SLASweepRep(o.scale, o.seed, o.reps)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(o.stdout, miss.Format())
-	fmt.Fprintln(o.stdout, spend.Format())
-	return nil
+	return o.printTables(experiments.SLASweepRep(o.scale, o.seed, o.reps))
 }
 
 // runCacheGC trims the warm-start cell cache under the -cache-budget /
@@ -1120,16 +1144,6 @@ func runStatic(o options) error {
 	}
 	fmt.Fprintln(o.stdout, res.SummaryTable(title).Format())
 	return o.exportSeries(f4, f5, f6)
-}
-
-func runScalability(o options) error {
-	sizes := experiments.ScalabilitySizes(o.scale)
-	points, err := experiments.ScalabilitySweep(o.scale, o.seed, sizes)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(o.stdout, experiments.ScalabilityTable(points).Format())
-	return nil
 }
 
 func runChurn(o options, reschedule bool) error {

@@ -3,15 +3,15 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/grid"
+	"repro/internal/experiments/executor"
 	"repro/internal/heuristics"
+	"repro/internal/metrics"
 )
 
 // OracleAblation quantifies the cost of decentralized information: DSMF
 // driven by the gossip view versus DSMF with oracle bandwidth and averages.
-// This is a reproduction extension (Section 6 of DESIGN.md), not a paper
-// figure - it measures how much the mixed gossip protocol gives up against
-// perfect knowledge.
+// This is a reproduction extension, not a paper figure - it measures how
+// much the mixed gossip protocol gives up against perfect knowledge.
 func OracleAblation(scale Scale, seed int64) (Table, error) {
 	base := NewSetting(scale, seed)
 	if _, err := base.BuildNet(); err != nil {
@@ -21,11 +21,7 @@ func OracleAblation(scale Scale, seed int64) (Table, error) {
 	oracle.OracleBandwidth = true
 	oracle.OracleAverages = true
 
-	jobs := []job{
-		{setting: base, make: heuristics.NewDSMF},
-		{setting: oracle, make: heuristics.NewDSMF},
-	}
-	results, err := runPool(jobs)
+	results, err := runDSMF(base, oracle)
 	if err != nil {
 		return Table{}, err
 	}
@@ -45,66 +41,67 @@ func OracleAblation(scale Scale, seed int64) (Table, error) {
 	return t, nil
 }
 
-// ReplicatedFCFSAblation repeats the Section IV.B ablation over several
-// seeds: the paper's own max-min gap (33495 vs 33746) is under 1%, well
-// inside single-run noise, so multi-seed means are the honest comparison.
-func ReplicatedFCFSAblation(scale Scale, seed int64, reps int) (Table, error) {
-	setting := NewSetting(scale, seed)
-	bases := []AlgoFactory{
-		heuristics.NewMinMin, heuristics.NewMaxMin,
-		heuristics.NewSufferage, heuristics.NewDHEFT,
+// runDSMF runs DSMF once under each setting on executor.Local's pool,
+// returning the results in the settings' order. The two-setting ablations
+// use it: their settings differ in switches no sweep axis carries.
+func runDSMF(settings ...Setting) ([]Result, error) {
+	results := make([]Result, len(settings))
+	ids := make([]int, len(settings))
+	for i := range ids {
+		ids[i] = i
 	}
-	var algos []AlgoFactory
-	for _, b := range bases {
-		b := b
-		algos = append(algos, b, func() grid.Algorithm { return heuristics.WithFCFSPhase2(b()) })
-	}
-	reps0, err := Replicate(setting, algos, reps)
+	err := executor.Local{}.Execute(ids, func(i int) error {
+		var err error
+		results[i], err = Run(settings[i], heuristics.NewDSMF())
+		return err
+	})
 	if err != nil {
-		return Table{}, err
+		return nil, err
 	}
-	t := Table{
-		Title:  fmt.Sprintf("Section IV.B ablation over %d seeds: ACT mean ± std", reps),
-		Header: []string{"algorithm", "ACT(policy)", "ACT(FCFS)", "policy wins"},
-	}
-	for i := 0; i < len(reps0); i += 2 {
-		with, fcfs := reps0[i], reps0[i+1]
-		t.Rows = append(t.Rows, []string{
-			with.Algo,
-			fmt.Sprintf("%.0f ± %.0f", with.ACT.Mean, with.ACT.Std),
-			fmt.Sprintf("%.0f ± %.0f", fcfs.ACT.Mean, fcfs.ACT.Std),
-			fmt.Sprintf("%v", with.ACT.Mean <= fcfs.ACT.Mean),
-		})
-	}
-	return t, nil
+	return results, nil
 }
 
-// ScalabilitySizes returns the Fig. 11 system sizes appropriate for a
-// scale preset (the paper sweeps 200..2000).
-func ScalabilitySizes(scale Scale) []int {
+// ScalabilityScales returns the Fig. 11 system-size axis for a scale
+// preset (the paper sweeps 200..2000 nodes): the preset at each size,
+// named like "tiny-n30" so sweep cells stay distinguishable.
+func ScalabilityScales(scale Scale) []Scale {
+	var sizes []int
 	switch scale.Name {
 	case "paper":
-		return []int{200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000}
+		sizes = []int{200, 400, 600, 800, 1000, 1200, 1400, 1600, 1800, 2000}
 	case "small":
-		return []int{50, 100, 150, 200, 300}
+		sizes = []int{50, 100, 150, 200, 300}
 	default:
-		return []int{30, 60, 90}
+		sizes = []int{30, 60, 90}
 	}
+	scales := make([]Scale, len(sizes))
+	for i, n := range sizes {
+		scales[i] = scale
+		scales[i].Name = fmt.Sprintf("%s-n%d", scale.Name, n)
+		scales[i].Nodes = n
+	}
+	return scales
 }
 
-// ScalabilityTable renders Fig. 11's three panels as one table.
-func ScalabilityTable(points []ScalabilityPoint) Table {
+// ScalabilityTable renders Fig. 11's three panels as one table, one row
+// per cell of a ScalabilitySweep result (mean ± 95% CI when replicated).
+func ScalabilityTable(res *SweepResult) Table {
 	t := Table{
 		Title:  "Fig. 11: System Scalability of DSMF (a: idle nodes known, b: AE, c: ACT)",
 		Header: []string{"nodes", "idle known", "|RSS|", "AE", "ACT(s)"},
 	}
-	for _, p := range points {
+	for _, c := range res.Cells {
+		idle := make([]float64, len(c.Stats))
+		rss := make([]float64, len(c.Stats))
+		for r, st := range c.Stats {
+			idle[r], rss[r] = st.Final.MeanIdleKnown, st.Final.MeanRSS
+		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Nodes),
-			fmt.Sprintf("%.1f", p.IdleKnown),
-			fmt.Sprintf("%.1f", p.RSSSize),
-			fmt.Sprintf("%.3f", p.AE),
-			fmt.Sprintf("%.0f", p.ACT),
+			fmt.Sprintf("%d", c.Scenario.Scale.Nodes),
+			formatEstimate(metrics.EstimateOf(idle), 1),
+			formatEstimate(metrics.EstimateOf(rss), 1),
+			formatEstimate(c.Agg.AE, 3),
+			formatEstimate(c.Agg.ACT, 0),
 		})
 	}
 	return t

@@ -1,16 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section IV). Each figure has a runner producing the same
 // series/rows the paper plots; the CLI prints them and the benchmark
-// harness exercises them at reduced scale. Independent simulation runs fan
-// out across a goroutine worker pool - the Go-native way to use a multicore
-// machine for a parameter sweep of single-threaded deterministic
-// simulations.
+// harness exercises them at reduced scale. Every multi-run experiment is a
+// SweepSpec executed by the streaming sweep engine (runner.go), whose
+// replications fan out across executor.Local's bounded goroutine pool -
+// the Go-native way to use a multicore machine for a parameter sweep of
+// single-threaded deterministic simulations.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/economy"
@@ -124,11 +123,11 @@ func NewSetting(scale Scale, seed int64) Setting {
 }
 
 // topoConfig is the single source of the run-seed → topology-seed
-// derivation. Every topology builder (BuildNet, the lazy batch nets, the
-// sweep runner's pair nets) must route through it: the byte-identity
-// contracts — golden determinism, shard merge, warm-start cache — all
-// assume the figure runners and the sweep engine generate identical
-// networks from identical run seeds.
+// derivation. Every topology builder (BuildNet and the sweep runner's pair
+// nets) must route through it: the byte-identity contracts — golden
+// determinism, shard merge, warm-start cache — all assume the figure
+// runners and the sweep engine generate identical networks from identical
+// run seeds.
 func topoConfig(nodes int, seed int64) topology.Config {
 	return topology.Config{N: nodes, Seed: stats.SplitSeed(seed, 0x70)}
 }
@@ -180,7 +179,7 @@ func Run(setting Setting, algo grid.Algorithm) (Result, error) {
 	if setting.Shards > 1 {
 		engine = sim.NewSharded(setting.Shards, net.N())
 	} else {
-		engine = newEngine()
+		engine = sim.NewEngine()
 	}
 	g, err := grid.New(engine, grid.Config{
 		Net:                net,
@@ -310,126 +309,14 @@ func wireEconomy(g *grid.Grid, setting Setting) error {
 	return nil
 }
 
-// SingleRun executes one simulation of the named algorithm (see
-// heuristics.ByName) under the default Table I setting - the unit of every
-// sweep, exposed directly for profiling and scale checks.
-func SingleRun(scale Scale, seed int64, algo string) (Result, error) {
-	return SingleRunWith(NewSetting(scale, seed), algo)
-}
-
-// SingleRunWith is SingleRun over a caller-built Setting, for runs that
-// deviate from the Table I defaults (arrival processes, trace replay,
-// ablation switches).
+// SingleRunWith executes one simulation of the named algorithm (see
+// heuristics.ByName) under a caller-built Setting, for profiling, scale
+// checks and runs that deviate from the Table I defaults (arrival
+// processes, trace replay, ablation switches).
 func SingleRunWith(setting Setting, algo string) (Result, error) {
 	a, err := heuristics.ByName(algo)
 	if err != nil {
 		return Result{}, err
 	}
 	return Run(setting, a)
-}
-
-// newEngine is a seam for tests.
-var newEngine = defaultEngine
-
-// AlgoFactory constructs a fresh algorithm instance. Full-ahead planners
-// carry per-run state (the availability schedule), so every concurrent
-// simulation must own its instance; the pool materializes one per job.
-type AlgoFactory = func() grid.Algorithm
-
-// job pairs a setting with one algorithm factory for the worker pool. The
-// optional net hook supplies the topology lazily on the pool (typically a
-// sync.Once shared by every job of one replication), so batch runners
-// neither generate topologies serially upfront nor retain them all.
-type job struct {
-	setting Setting
-	make    AlgoFactory
-	net     func() (*topology.Network, error)
-}
-
-// lazyNet memoizes one shared topology, built with BuildNet's exact seed
-// derivation on whichever pool worker needs it first.
-type lazyNet struct {
-	once sync.Once
-	net  *topology.Network
-	err  error
-	cfg  topology.Config
-}
-
-func newLazyNet(nodes int, seed int64) *lazyNet {
-	return &lazyNet{cfg: topoConfig(nodes, seed)}
-}
-
-func (l *lazyNet) get() (*topology.Network, error) {
-	l.once.Do(func() { l.net, l.err = topology.Generate(l.cfg) })
-	return l.net, l.err
-}
-
-// RunAll executes one run per factory under a shared setting, fanning out
-// across a worker pool. Results keep the factories' order.
-func RunAll(setting Setting, factories []AlgoFactory) ([]Result, error) {
-	if _, err := setting.BuildNet(); err != nil {
-		return nil, err
-	}
-	jobs := make([]job, len(factories))
-	for i, f := range factories {
-		jobs[i] = job{setting: setting, make: f}
-	}
-	return runPool(jobs)
-}
-
-// runPool executes arbitrary jobs with bounded parallelism, preserving
-// order. The first error aborts the batch.
-func runPool(jobs []job) ([]Result, error) {
-	return runPoolProgress(jobs, nil)
-}
-
-// runPoolProgress is runPool with an optional progress callback, invoked
-// serially (under a lock) after each completed job with the running done
-// count and the total. Completion order is nondeterministic; results are
-// not - they keep job order.
-func runPoolProgress(jobs []job, progress func(done, total int)) ([]Result, error) {
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
-	sem := make(chan struct{}, maxParallelism())
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			j := jobs[i]
-			if j.net != nil {
-				if j.setting.Net, errs[i] = j.net(); errs[i] != nil {
-					return
-				}
-			}
-			results[i], errs[i] = Run(j.setting, j.make())
-			if progress != nil {
-				mu.Lock()
-				done++
-				progress(done, len(jobs))
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func maxParallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
 }

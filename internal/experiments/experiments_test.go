@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/heuristics"
+	"repro/internal/metrics"
 )
 
 func TestScaleByName(t *testing.T) {
@@ -72,23 +73,6 @@ func TestRunDeterministicForSameSeed(t *testing.T) {
 	}
 }
 
-func TestRunAllPreservesOrderAndSharesInputs(t *testing.T) {
-	algos := []AlgoFactory{heuristics.NewDSMF, heuristics.NewDHEFT}
-	results, err := RunAll(NewSetting(TinyScale, 5), algos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if results[0].Algo != "DSMF" || results[1].Algo != "DHEFT" {
-		t.Fatalf("order not preserved: %s, %s", results[0].Algo, results[1].Algo)
-	}
-	if results[0].Submitted != results[1].Submitted {
-		t.Fatal("algorithms did not face the same workload size")
-	}
-}
-
 // Shape check against the paper's headline claim: DSMF beats the
 // decentralized HEFT on both ACT and AE, and reaches higher mid-run
 // throughput (Figs. 4-6). A small 24-hour run is enough for the ordering
@@ -98,12 +82,15 @@ func TestDSMFBeatsDHEFTShape(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	scale := Scale{Name: "shape", Nodes: 80, LoadFactor: 2, HorizonHours: 24, SnapshotHours: 1}
-	results, err := RunAll(NewSetting(scale, 11),
-		[]AlgoFactory{heuristics.NewDSMF, heuristics.NewDHEFT})
+	res, err := RunSweepStream(SweepSpec{
+		Scales:     []Scale{scale},
+		Algorithms: []string{"DSMF", "DHEFT"},
+		Seed:       11,
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsmf, dheft := results[0], results[1]
+	dsmf, dheft := res.Cells[0].Stats[0], res.Cells[1].Stats[0]
 	if dsmf.Final.ACT >= dheft.Final.ACT {
 		t.Errorf("DSMF ACT %.0f not below DHEFT ACT %.0f", dsmf.Final.ACT, dheft.Final.ACT)
 	}
@@ -112,14 +99,14 @@ func TestDSMFBeatsDHEFTShape(t *testing.T) {
 	}
 	// Cumulative area under the throughput curve captures "finishes work
 	// earlier" more robustly than any single sample.
-	area := func(r Result) (sum int) {
-		for _, v := range r.Collector.Throughput() {
+	area := func(st metrics.RunStats) (sum float64) {
+		for _, v := range st.Throughput {
 			sum += v
 		}
 		return
 	}
 	if area(dsmf) <= area(dheft) {
-		t.Errorf("DSMF throughput area %d not above DHEFT %d", area(dsmf), area(dheft))
+		t.Errorf("DSMF throughput area %v not above DHEFT %v", area(dsmf), area(dheft))
 	}
 }
 
@@ -128,11 +115,11 @@ func TestChurnSweepDegradesThroughputOnly(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	scale := Scale{Name: "churn", Nodes: 60, LoadFactor: 1, HorizonHours: 18, SnapshotHours: 1}
-	results, err := ChurnSweep(scale, 13, []float64{0, 0.3}, false)
+	res, err := ChurnSweepRep(scale, 13, []float64{0, 0.3}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, churny := results[0], results[1]
+	static, churny := res.Cells[0].Stats[0], res.Cells[1].Stats[0]
 	if static.Final.Failed != 0 {
 		t.Fatalf("df=0 failed %d workflows", static.Final.Failed)
 	}
@@ -143,8 +130,8 @@ func TestChurnSweepDegradesThroughputOnly(t *testing.T) {
 		t.Fatalf("churn throughput %d not below static %d",
 			churny.Final.Completed, static.Final.Completed)
 	}
-	if churny.Algo != "df=0.3" {
-		t.Fatalf("result label %s", churny.Algo)
+	if label := churnLabel(&res.Cells[1]); label != "df=0.3" {
+		t.Fatalf("cell label %s", label)
 	}
 }
 
@@ -153,17 +140,17 @@ func TestReschedulingImprovesChurnThroughput(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	scale := Scale{Name: "resched", Nodes: 60, LoadFactor: 1, HorizonHours: 18, SnapshotHours: 1}
-	plain, err := ChurnSweep(scale, 17, []float64{0.3}, false)
+	plain, err := ChurnSweepRep(scale, 17, []float64{0.3}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resched, err := ChurnSweep(scale, 17, []float64{0.3}, true)
+	resched, err := ChurnSweepRep(scale, 17, []float64{0.3}, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resched[0].Final.Completed < plain[0].Final.Completed {
-		t.Errorf("rescheduling lowered throughput: %d vs %d",
-			resched[0].Final.Completed, plain[0].Final.Completed)
+	p, r := plain.Cells[0].Stats[0].Final, resched.Cells[0].Stats[0].Final
+	if r.Completed < p.Completed {
+		t.Errorf("rescheduling lowered throughput: %d vs %d", r.Completed, p.Completed)
 	}
 }
 
@@ -172,27 +159,35 @@ func TestScalabilitySweepBoundsGossipView(t *testing.T) {
 		t.Skip("multi-run simulation in -short mode")
 	}
 	base := Scale{Name: "scal", Nodes: 0, LoadFactor: 1, HorizonHours: 10, SnapshotHours: 1}
-	points, err := ScalabilitySweep(base, 19, []int{40, 120})
+	res, err := ScalabilitySweep(base, 19, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points %d", len(points))
+	if len(res.Cells) != 3 {
+		t.Fatalf("cells %d, want one per size of the default axis (30, 60, 90)", len(res.Cells))
 	}
-	for _, p := range points {
-		if p.RSSSize <= 0 {
-			t.Fatalf("n=%d: empty RSS", p.Nodes)
+	var rss []float64
+	for _, c := range res.Cells {
+		if c.Algo != "DSMF" {
+			t.Fatalf("scalability cell runs %s, want DSMF", c.Algo)
 		}
-		if p.RSSSize > 40 {
-			t.Fatalf("n=%d: RSS %v not bounded", p.Nodes, p.RSSSize)
+		final := c.Stats[0].Final
+		if final.MeanRSS <= 0 {
+			t.Fatalf("%s: empty RSS", c.Scenario.Scale.Name)
 		}
-		if p.IdleKnown > p.RSSSize {
-			t.Fatalf("idle known %v exceeds RSS %v", p.IdleKnown, p.RSSSize)
+		if final.MeanRSS > 40 {
+			t.Fatalf("%s: RSS %v not bounded", c.Scenario.Scale.Name, final.MeanRSS)
 		}
+		if final.MeanIdleKnown > final.MeanRSS {
+			t.Fatalf("idle known %v exceeds RSS %v", final.MeanIdleKnown, final.MeanRSS)
+		}
+		rss = append(rss, final.MeanRSS)
 	}
-	if points[1].RSSSize <= points[0].RSSSize {
-		t.Errorf("RSS should grow (log-like) with scale: %v vs %v",
-			points[0].RSSSize, points[1].RSSSize)
+	if rss[2] <= rss[0] {
+		t.Errorf("RSS should grow (log-like) with scale: %v", rss)
+	}
+	if rows := ScalabilityTable(res).Rows; len(rows) != 3 || rows[0][0] != "30" {
+		t.Errorf("scalability table rows: %v", rows)
 	}
 }
 
@@ -244,5 +239,85 @@ func TestFormatsRender(t *testing.T) {
 	ragged := SeriesSet{Title: "R", X: []float64{1, 2}, Series: []LabeledSeries{{Label: "l", Y: []float64{3}}}}
 	if !strings.Contains(ragged.Format(), "-") {
 		t.Fatal("ragged series missing placeholder")
+	}
+}
+
+// TestReplicateAggregatesAcrossSeeds runs the Section IV.B ablation over
+// three seeds: every cell aggregates three independent replications, and
+// the table reports mean ± 95% CI.
+func TestReplicateAggregatesAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation in -short mode")
+	}
+	table, res, err := FCFSAblation(microScale, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 8 || len(table.Rows) != 4 {
+		t.Fatalf("%d cells and %d rows, want 8 and 4", len(res.Cells), len(table.Rows))
+	}
+	if res.Cells[0].Algo != "min-min" || res.Cells[1].Algo != "min-min+FCFS" {
+		t.Fatalf("cells run %s, %s; want each policy next to its FCFS variant", res.Cells[0].Algo, res.Cells[1].Algo)
+	}
+	for _, c := range res.Cells {
+		if c.Agg.Reps != 3 || c.Agg.ACT.N != 3 {
+			t.Fatalf("cell %s aggregates %d/%d replications", c.Algo, c.Agg.Reps, c.Agg.ACT.N)
+		}
+		if c.Agg.ACT.Mean <= 0 || c.Agg.Completed.Mean <= 0 {
+			t.Fatalf("cell %s empty: %+v", c.Algo, c.Agg)
+		}
+		// Independent seeds must actually vary.
+		if c.Agg.ACT.Std == 0 {
+			t.Fatalf("cell %s shows zero variance across seeds", c.Algo)
+		}
+	}
+	out := table.Format()
+	if !strings.Contains(out, "±") || !strings.Contains(out, "over 3 seeds") {
+		t.Fatalf("replicated table missing ± columns or seed count:\n%s", out)
+	}
+}
+
+func TestExtensionExperimentsProduceTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation in -short mode")
+	}
+	shoot, err := PlannerShootout(TinyScale, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shoot.Rows) != 5 {
+		t.Fatalf("shootout rows %d", len(shoot.Rows))
+	}
+	fam, err := FamilyComparison(TinyScale, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fam.Rows) != 4 {
+		t.Fatalf("family rows %d", len(fam.Rows))
+	}
+	churn, err := ChurnModelAblation(TinyScale, 5, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(churn.Rows) != 2 {
+		t.Fatalf("churn model rows %d", len(churn.Rows))
+	}
+}
+
+func TestReportRendersShapeChecks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run simulation in -short mode")
+	}
+	out, err := Report(TinyScale, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{"# Reproduction report", "Shape checks", "DSMF", "SMF", "| algorithm |"} {
+		if !strings.Contains(out, frag) {
+			t.Fatalf("report missing %q:\n%s", frag, out)
+		}
+	}
+	if !strings.Contains(out, "PASS") {
+		t.Fatal("report contains no passing checks")
 	}
 }

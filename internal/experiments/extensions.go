@@ -6,59 +6,40 @@ import (
 	"repro/internal/dag"
 	"repro/internal/grid"
 	"repro/internal/heuristics"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // PlannerShootout compares the full-ahead planner family on one workload:
 // HEFT (non-insertion, the paper's baseline), insertion-based HEFT, the
 // one-level-lookahead LAHEFT the paper's related work credits with up to
-// 20% improvement, CPOP, and SMF. A reproduction extension covering the
-// design choices DESIGN.md calls out.
+// 20% improvement, CPOP, and SMF. A reproduction extension: it shows how
+// much the paper's HEFT baseline gains from insertion and lookahead.
 func PlannerShootout(scale Scale, seed int64) (Table, error) {
-	setting := NewSetting(scale, seed)
-	if _, err := setting.BuildNet(); err != nil {
-		return Table{}, err
-	}
-	algos := []AlgoFactory{
-		heuristics.NewHEFT,
-		heuristics.NewHEFTInsertion,
-		heuristics.NewLAHEFT,
-		heuristics.NewCPOP,
-		heuristics.NewSMF,
-	}
-	results, err := RunAll(setting, algos)
+	res, err := RunSweepStream(SweepSpec{
+		Name:       "planner-shootout",
+		Scales:     []Scale{scale},
+		Algorithms: []string{"HEFT", "HEFT-ins", "LAHEFT", "CPOP", "SMF"},
+		Seed:       seed,
+	}, RunOptions{})
 	if err != nil {
 		return Table{}, err
 	}
-	return SummaryTable("Full-ahead planner shootout (extension)", results), nil
+	return res.SummaryTable("Full-ahead planner shootout (extension)"), nil
 }
 
 // ChurnModelAblation contrasts the default graceful churn-loss model with
-// the maximal-loss HarshChurn variant at one dynamic factor, quantifying
-// how much the unspecified paper loss model matters (DESIGN.md).
+// the maximal-loss HarshChurn variant at one dynamic factor, in the Fig.
+// 12-14 layout. The paper does not say what a departing node loses, so
+// the gap measures how much that unspecified choice matters.
 func ChurnModelAblation(scale Scale, seed int64, df float64) (Table, error) {
-	stable := scale.Nodes / 2
-	mk := func(harsh bool) Setting {
-		s := NewSetting(scale, seed)
-		s.Homes = stable
-		s.Scale.LoadFactor = scale.LoadFactor * 2
-		s.Churn = grid.ChurnConfig{
-			DynamicFactor: df, StableCount: stable,
-			Seed: stats.SplitSeed(seed, uint64(df*1000)),
-		}
-		s.Harsh = harsh
-		return s
-	}
-	soft := mk(false)
+	soft := Scenario{Scale: scale, Churn: df, ChurnLayout: true}.setting(seed, nil, false)
 	if _, err := soft.BuildNet(); err != nil {
 		return Table{}, err
 	}
-	harsh := mk(true)
-	harsh.Net = soft.Net
-	results, err := runPool([]job{
-		{setting: soft, make: heuristics.NewDSMF},
-		{setting: harsh, make: heuristics.NewDSMF},
-	})
+	harsh := soft
+	harsh.Harsh = true
+	results, err := runDSMF(soft, harsh)
 	if err != nil {
 		return Table{}, err
 	}
@@ -93,7 +74,7 @@ func FamilyComparison(scale Scale, seed int64) (Table, error) {
 		Header: []string{"family", "workflows", "completed", "ACT(s)", "AE", "depth", "parallelism"},
 	}
 	for _, fam := range dag.Families() {
-		engine := newEngine()
+		engine := sim.NewEngine()
 		g, err := grid.New(engine, grid.Config{Net: net, Seed: seed}, heuristics.NewDSMF())
 		if err != nil {
 			return Table{}, err

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/grid"
-	"repro/internal/heuristics"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -33,42 +31,22 @@ type Table struct {
 	Rows   [][]string
 }
 
-// StaticComparison runs all eight algorithms once under the headline static
-// setting of Figs. 4-6 and returns per-algorithm results (shared topology
-// and workload). It is the single-replication slice of StaticComparisonRep
-// with run retention switched on (callers consume full Results); routing it
-// through the sweep engine keeps the two bit-identical (the golden
-// determinism test pins this path).
-func StaticComparison(scale Scale, seed int64) ([]Result, error) {
-	res, err := RunSweepStream(staticComparisonSpec(scale, seed, 1), RunOptions{RetainRuns: true})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(res.Cells))
-	for i, c := range res.Cells {
-		results[i] = c.Runs[0]
-	}
-	return results, nil
-}
-
-// StaticComparisonRep replicates the Figs. 4-6 comparison over reps
-// independent seeds through the streaming sweep engine (per-run Results are
-// dropped as cells finalize); replication 0 is exactly the StaticComparison
-// run at the same seed.
+// StaticComparisonRep runs all eight algorithms under the headline static
+// setting of Figs. 4-6 (shared topology and workload per replication),
+// replicated over reps independent seeds through the streaming sweep
+// engine. Replication 0 runs at the root seed itself, so its per-run
+// records (Cell.Stats[0]) are the single-seed comparison the golden
+// determinism test pins.
 func StaticComparisonRep(scale Scale, seed int64, reps int) (*SweepResult, error) {
-	return RunSweepStream(staticComparisonSpec(scale, seed, reps), RunOptions{})
-}
-
-func staticComparisonSpec(scale Scale, seed int64, reps int) SweepSpec {
-	return SweepSpec{
+	return RunSweepStream(SweepSpec{
 		Name:   "static-comparison",
 		Scales: []Scale{scale},
 		Seed:   seed,
 		Reps:   reps,
-	}
+	}, RunOptions{})
 }
 
-// Figure titles shared by the single-run and replicated extractors.
+// Figure titles of the static comparison.
 const (
 	fig4Title = "Fig. 4: Throughput of Workflows in Static P2P Grid System"
 	fig5Title = "Fig. 5: Average Finish-time of Workflows in Static P2P Grid System"
@@ -98,103 +76,46 @@ func (r *SweepResult) Fig6Efficiency() SeriesSet {
 	return r.Series(fig6Title, "hour", "AE", statAE)
 }
 
-func hoursAxis(results []Result) []float64 {
-	if len(results) == 0 {
-		return nil
-	}
-	snaps := results[0].Collector.Snapshots
-	x := make([]float64, len(snaps))
-	for i, s := range snaps {
-		x[i] = s.TimeHours
-	}
-	return x
-}
-
-// Fig4Throughput extracts the throughput-over-time series of Fig. 4.
-func Fig4Throughput(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig4Title,
-		XLabel: "hour", YLabel: "# of workflows finished",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		ys := make([]float64, len(r.Collector.Snapshots))
-		for i, tp := range r.Collector.Throughput() {
-			ys[i] = float64(tp)
-		}
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: ys})
-	}
-	return set
-}
-
-// Fig5FinishTime extracts the average-completion-time series of Fig. 5.
-func Fig5FinishTime(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig5Title,
-		XLabel: "hour", YLabel: "ACT (s)",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.ACTSeries()})
-	}
-	return set
-}
-
-// Fig6Efficiency extracts the average-efficiency series of Fig. 6.
-func Fig6Efficiency(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig6Title,
-		XLabel: "hour", YLabel: "AE",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.AESeries()})
-	}
-	return set
-}
-
 // FCFSAblation reproduces the Section IV.B numbers: the converged ACT of
 // min-min, max-min, sufferage and DHEFT with their second-phase policies
 // versus the "original versions using FCFS on the second-phase scheduling".
-func FCFSAblation(scale Scale, seed int64) (Table, []Result, error) {
-	setting := NewSetting(scale, seed)
-	if _, err := setting.BuildNet(); err != nil {
-		return Table{}, nil, err
+// reps > 1 replicates the comparison over independent seeds and reports
+// mean ± 95% CI: the paper's own max-min gap (33495 vs 33746) is under 1%,
+// well inside single-run noise, so multi-seed means are the honest
+// comparison. Cells alternate policy and FCFS variant per base algorithm.
+func FCFSAblation(scale Scale, seed int64, reps int) (Table, *SweepResult, error) {
+	var algos []string
+	for _, base := range []string{"min-min", "max-min", "sufferage", "DHEFT"} {
+		algos = append(algos, base, base+"+FCFS")
 	}
-	bases := []AlgoFactory{
-		heuristics.NewMinMin, heuristics.NewMaxMin,
-		heuristics.NewSufferage, heuristics.NewDHEFT,
-	}
-	var jobs []job
-	for _, b := range bases {
-		b := b
-		jobs = append(jobs, job{setting: setting, make: b})
-		jobs = append(jobs, job{setting: setting, make: func() grid.Algorithm { return heuristics.WithFCFSPhase2(b()) }})
-	}
-	results, err := runPool(jobs)
+	res, err := RunSweepStream(SweepSpec{
+		Name:       "fcfs-ablation",
+		Scales:     []Scale{scale},
+		Algorithms: algos,
+		Seed:       seed,
+		Reps:       reps,
+	}, RunOptions{})
 	if err != nil {
 		return Table{}, nil, err
 	}
+	title := "Section IV.B: converged ACT with second-phase policy vs FCFS"
+	if res.Spec.Reps > 1 {
+		title += fmt.Sprintf(" (mean ± 95%% CI over %d seeds)", res.Spec.Reps)
+	}
 	table := Table{
-		Title:  "Section IV.B: converged ACT with second-phase policy vs FCFS",
+		Title:  title,
 		Header: []string{"algorithm", "ACT(policy)", "ACT(FCFS)", "policy wins"},
 	}
-	for i := 0; i < len(results); i += 2 {
-		with, fcfs := results[i], results[i+1]
+	for i := 0; i < len(res.Cells); i += 2 {
+		with, fcfs := res.Cells[i].Agg.ACT, res.Cells[i+1].Agg.ACT
 		table.Rows = append(table.Rows, []string{
-			with.Algo,
-			fmt.Sprintf("%.0f", with.Final.ACT),
-			fmt.Sprintf("%.0f", fcfs.Final.ACT),
-			fmt.Sprintf("%v", with.Final.ACT <= fcfs.Final.ACT),
+			res.Cells[i].Algo,
+			formatEstimate(with, 0),
+			formatEstimate(fcfs, 0),
+			fmt.Sprintf("%v", with.Mean <= fcfs.Mean),
 		})
 	}
-	return table, results, nil
-}
-
-// LoadFactorSweep runs Figs. 7-8 once: every algorithm at load factors
-// 1..maxLF, reporting the final ACT and AE per cell.
-func LoadFactorSweep(scale Scale, seed int64, maxLF int) (actTable, aeTable Table, err error) {
-	return LoadFactorSweepRep(scale, seed, maxLF, 1)
+	return table, res, nil
 }
 
 // LoadFactorAxis returns the load-factor axis 1..maxLF of the Figs. 7-8
@@ -267,11 +188,6 @@ func CCRCases() []CCRCase {
 	}
 }
 
-// CCRSweep runs Figs. 9-10 once: every algorithm across the four CCR cases.
-func CCRSweep(scale Scale, seed int64) (actTable, aeTable Table, err error) {
-	return CCRSweepRep(scale, seed, 1)
-}
-
 // CCRSweepRep replicates the Figs. 9-10 CCR sweep over reps independent
 // seeds through the sweep engine; with reps > 1 every cell reports
 // mean ± 95% CI.
@@ -308,41 +224,17 @@ func CCRSweepRep(scale Scale, seed int64, reps int) (actTable, aeTable Table, er
 	return actTable, aeTable, nil
 }
 
-// ScalabilityPoint is one system size of Fig. 11.
-type ScalabilityPoint struct {
-	Nodes     int
-	IdleKnown float64 // Fig. 11(a)
-	RSSSize   float64
-	AE        float64 // Fig. 11(b)
-	ACT       float64 // Fig. 11(c)
-}
-
-// ScalabilitySweep runs Fig. 11: DSMF alone at increasing system scale,
-// reporting the gossip space bound and the stable ACT/AE.
-func ScalabilitySweep(base Scale, seed int64, sizes []int) ([]ScalabilityPoint, error) {
-	points := make([]ScalabilityPoint, len(sizes))
-	var jobs []job
-	for _, n := range sizes {
-		scale := base
-		scale.Nodes = n
-		s := NewSetting(scale, stats.SplitSeed(seed, uint64(n)))
-		// Each size's topology is built on the pool, not serially upfront.
-		jobs = append(jobs, job{s, heuristics.NewDSMF, newLazyNet(n, s.Seed).get})
-	}
-	results, err := runPool(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		points[i] = ScalabilityPoint{
-			Nodes:     sizes[i],
-			IdleKnown: r.Final.MeanIdleKnown,
-			RSSSize:   r.Final.MeanRSS,
-			AE:        r.Final.AE,
-			ACT:       r.Final.ACT,
-		}
-	}
-	return points, nil
+// ScalabilitySweep runs Fig. 11: DSMF alone across the ScalabilityScales
+// axis of the given preset, replicated over reps independent seeds. It is
+// the CLI's -axes scale sweep spec; ScalabilityTable renders the result.
+func ScalabilitySweep(scale Scale, seed int64, reps int) (*SweepResult, error) {
+	return RunSweepStream(SweepSpec{
+		Name:       "scalability",
+		Scales:     ScalabilityScales(scale),
+		Algorithms: []string{"DSMF"},
+		Seed:       seed,
+		Reps:       reps,
+	}, RunOptions{})
 }
 
 // ChurnSweepRep runs Figs. 12-14 through the sweep engine: DSMF under
@@ -354,11 +246,7 @@ func ScalabilitySweep(base Scale, seed int64, sizes []int) ([]ScalabilityPoint, 
 // exactly like Figs. 4-10. Setting reschedule=true exercises the paper's
 // future-work extension in every cell.
 func ChurnSweepRep(scale Scale, seed int64, dfs []float64, reschedule bool, reps int) (*SweepResult, error) {
-	return RunSweepStream(churnSweepSpec(scale, seed, dfs, reschedule, reps), RunOptions{})
-}
-
-func churnSweepSpec(scale Scale, seed int64, dfs []float64, reschedule bool, reps int) SweepSpec {
-	return SweepSpec{
+	return RunSweepStream(SweepSpec{
 		Name:         "churn",
 		Scales:       []Scale{scale},
 		Algorithms:   []string{"DSMF"},
@@ -367,30 +255,13 @@ func churnSweepSpec(scale Scale, seed int64, dfs []float64, reschedule bool, rep
 		ChurnFactors: dfs,
 		ChurnLayout:  true,
 		Reschedule:   reschedule,
-	}
+	}, RunOptions{})
 }
 
 // churnLabel names a churn-axis cell the way the paper's legends do.
 func churnLabel(c *Cell) string { return fmt.Sprintf("df=%.1f", c.Scenario.Churn) }
 
-// ChurnSweep is the single-replication compatibility adapter over
-// ChurnSweepRep: one full Result per dynamic factor, relabeled by df the
-// way the original figure runner did. It retains full runs; series
-// consumers that can live with reduced records should use ChurnSweepRep.
-func ChurnSweep(scale Scale, seed int64, dfs []float64, reschedule bool) ([]Result, error) {
-	res, err := RunSweepStream(churnSweepSpec(scale, seed, dfs, reschedule, 1), RunOptions{RetainRuns: true})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(res.Cells))
-	for i := range res.Cells {
-		results[i] = res.Cells[i].Runs[0]
-		results[i].Algo = churnLabel(&res.Cells[i])
-	}
-	return results, nil
-}
-
-// Figure titles shared by the single-run and replicated churn extractors.
+// Figure titles of the churn sweep.
 const (
 	fig12Title = "Fig. 12: Throughput of DSMF in Dynamic Environment"
 	fig13Title = "Fig. 13: Average Finish-Time of DSMF in Dynamic Environment"
@@ -418,50 +289,6 @@ func (r *SweepResult) Fig14Efficiency() SeriesSet {
 // comparison, one row per dynamic factor.
 func (r *SweepResult) ChurnSummaryTable(title string) Table {
 	return r.summaryTable(title, churnLabel)
-}
-
-// Fig12Throughput, Fig13FinishTime and Fig14Efficiency extract the churn
-// series of a ChurnSweep batch (full Results) in the paper's figure layout.
-func Fig12Throughput(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig12Title,
-		XLabel: "hour", YLabel: "# of workflows finished",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		ys := make([]float64, len(r.Collector.Snapshots))
-		for i, tp := range r.Collector.Throughput() {
-			ys[i] = float64(tp)
-		}
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: ys})
-	}
-	return set
-}
-
-// Fig13FinishTime extracts the churn ACT series.
-func Fig13FinishTime(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig13Title,
-		XLabel: "hour", YLabel: "ACT (s)",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.ACTSeries()})
-	}
-	return set
-}
-
-// Fig14Efficiency extracts the churn AE series.
-func Fig14Efficiency(results []Result) SeriesSet {
-	set := SeriesSet{
-		Title:  fig14Title,
-		XLabel: "hour", YLabel: "AE",
-		X: hoursAxis(results),
-	}
-	for _, r := range results {
-		set.Series = append(set.Series, LabeledSeries{Label: r.Algo, Y: r.Collector.AESeries()})
-	}
-	return set
 }
 
 // TableI returns the experimental-setting table exactly as printed in the

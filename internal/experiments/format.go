@@ -90,26 +90,3 @@ func (s SeriesSet) Format() string {
 	}
 	return b.String()
 }
-
-// FinalRow summarizes a result for comparison tables.
-func (r Result) FinalRow() []string {
-	return []string{
-		r.Algo,
-		fmt.Sprintf("%d", r.Final.Completed),
-		fmt.Sprintf("%d", r.Final.Failed),
-		fmt.Sprintf("%.0f", r.Final.ACT),
-		fmt.Sprintf("%.3f", r.Final.AE),
-	}
-}
-
-// SummaryTable condenses a batch of results into a final-state comparison.
-func SummaryTable(title string, results []Result) Table {
-	t := Table{
-		Title:  title,
-		Header: []string{"algorithm", "completed", "failed", "ACT(s)", "AE"},
-	}
-	for _, r := range results {
-		t.Rows = append(t.Rows, r.FinalRow())
-	}
-	return t
-}

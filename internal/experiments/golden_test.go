@@ -16,8 +16,8 @@ import (
 // "optimization" changed observable behaviour, not just speed.
 //
 // Regenerate (only after an INTENTIONAL semantic change) by printing
-// r.Algo, r.Final.ACT, r.Final.AE, r.Final.Completed from
-// StaticComparison(TinyScale, goldenSeed) with %v formatting.
+// c.Algo, c.Stats[0].Final.ACT, .AE and .Completed for every cell of
+// StaticComparisonRep(TinyScale, goldenSeed, 1) with %v formatting.
 func TestGoldenDeterminism(t *testing.T) {
 	const goldenSeed = 2010
 	golden := []struct {
@@ -35,27 +35,28 @@ func TestGoldenDeterminism(t *testing.T) {
 		{"SMF", 13190.577234911616, 1.001781028659834, 60},
 	}
 
-	results, err := StaticComparison(TinyScale, goldenSeed)
+	res, err := StaticComparisonRep(TinyScale, goldenSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(golden) {
-		t.Fatalf("got %d results, want %d", len(results), len(golden))
+	if len(res.Cells) != len(golden) {
+		t.Fatalf("got %d cells, want %d", len(res.Cells), len(golden))
 	}
 	for i, want := range golden {
-		got := results[i]
-		if got.Algo != want.algo {
-			t.Errorf("result %d: algorithm %q, want %q", i, got.Algo, want.algo)
+		c := res.Cells[i]
+		if c.Algo != want.algo {
+			t.Errorf("cell %d: algorithm %q, want %q", i, c.Algo, want.algo)
 			continue
 		}
-		if bitsDiffer(got.Final.ACT, want.act) {
-			t.Errorf("%s: ACT = %v, want exactly %v", want.algo, got.Final.ACT, want.act)
+		got := c.Stats[0].Final
+		if bitsDiffer(got.ACT, want.act) {
+			t.Errorf("%s: ACT = %v, want exactly %v", want.algo, got.ACT, want.act)
 		}
-		if bitsDiffer(got.Final.AE, want.ae) {
-			t.Errorf("%s: AE = %v, want exactly %v", want.algo, got.Final.AE, want.ae)
+		if bitsDiffer(got.AE, want.ae) {
+			t.Errorf("%s: AE = %v, want exactly %v", want.algo, got.AE, want.ae)
 		}
-		if got.Final.Completed != want.completed {
-			t.Errorf("%s: Completed = %d, want %d", want.algo, got.Final.Completed, want.completed)
+		if got.Completed != want.completed {
+			t.Errorf("%s: Completed = %d, want %d", want.algo, got.Completed, want.completed)
 		}
 	}
 }

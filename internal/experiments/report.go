@@ -4,21 +4,22 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // Report assembles a markdown snapshot of the core reproduction claims
-// from live runs at the given scale - a regenerable, reduced form of
-// EXPERIMENTS.md. It runs the static comparison plus the headline shape
-// checks and renders pass/fail marks, so a reader can verify the
-// reproduction on their own machine with one command.
+// from live runs at the given scale. It runs the static comparison plus
+// the headline shape checks and renders pass/fail marks, so a reader can
+// verify the reproduction on their own machine with one command.
 func Report(scale Scale, seed int64) (string, error) {
-	results, err := StaticComparison(scale, seed)
+	res, err := StaticComparisonRep(scale, seed, 1)
 	if err != nil {
 		return "", err
 	}
-	byAlgo := map[string]Result{}
-	for _, r := range results {
-		byAlgo[r.Algo] = r
+	byAlgo := map[string]*metrics.RunStats{}
+	for i := range res.Cells {
+		byAlgo[res.Cells[i].Algo] = &res.Cells[i].Stats[0]
 	}
 	dsmf, smf := byAlgo["DSMF"], byAlgo["SMF"]
 
@@ -40,11 +41,10 @@ func Report(scale Scale, seed int64) (string, error) {
 		}
 		return "FAIL"
 	}
-	earlyIdx := len(dsmf.Collector.Snapshots) / 4
-	early := func(r Result) int {
-		tp := r.Collector.Throughput()
-		if earlyIdx < len(tp) {
-			return tp[earlyIdx]
+	earlyIdx := len(dsmf.Throughput) / 4
+	early := func(r *metrics.RunStats) float64 {
+		if earlyIdx < len(r.Throughput) {
+			return r.Throughput[earlyIdx]
 		}
 		return 0
 	}
@@ -54,11 +54,12 @@ func Report(scale Scale, seed int64) (string, error) {
 		scale.Name, scale.Nodes, seed)
 	b.WriteString("## Converged final state\n\n")
 	b.WriteString("| algorithm | completed | ACT(s) | AE |\n|---|---|---|---|\n")
-	ordered := append([]Result(nil), results...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Final.ACT < ordered[j].Final.ACT })
-	for _, r := range ordered {
+	ordered := append([]Cell(nil), res.Cells...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Stats[0].Final.ACT < ordered[j].Stats[0].Final.ACT })
+	for _, c := range ordered {
+		final := c.Stats[0].Final
 		fmt.Fprintf(&b, "| %s | %d | %.0f | %.3f |\n",
-			r.Algo, r.Final.Completed, r.Final.ACT, r.Final.AE)
+			c.Algo, final.Completed, final.ACT, final.AE)
 	}
 
 	b.WriteString("\n## Shape checks (paper Section IV)\n\n")

@@ -689,53 +689,6 @@ func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
 	return res, nil
 }
 
-// RunAdaptive grows the replication count in batches until every cell's
-// ACT 95% confidence half-width is at most precision × |mean ACT|, capped
-// at the spec's Reps (the first cut of sequential sampling: batches are
-// global, so every cell advances to the same replication count until all
-// converge). Batches reuse each other's work through the cell cache —
-// opts.Cache when provided, otherwise a process-local memory cache — so a
-// batch only executes the replications beyond the previous batch's.
-// The returned result is bit-identical to a direct run at its final Reps.
-func RunAdaptive(spec SweepSpec, precision float64, opts RunOptions) (*SweepResult, error) {
-	if precision <= 0 {
-		return nil, fmt.Errorf("experiments: adaptive precision must be positive, got %v", precision)
-	}
-	maxReps := spec.withDefaults().Reps
-	if opts.Cache == nil {
-		opts.Cache = executor.NewMemory()
-	}
-	reps := 3 // the smallest batch with a non-degenerate t-interval plus one
-	if reps > maxReps {
-		reps = maxReps
-	}
-	for {
-		spec.Reps = reps
-		res, err := RunSweepStream(spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		if reps >= maxReps || adaptiveConverged(res, precision) {
-			return res, nil
-		}
-		reps *= 2
-		if reps > maxReps {
-			reps = maxReps
-		}
-	}
-}
-
-// adaptiveConverged reports whether every cell's ACT interval meets the
-// relative precision target.
-func adaptiveConverged(res *SweepResult, precision float64) bool {
-	for i := range res.Cells {
-		if !precisionMet(res.Cells[i].Agg.ACT, precision) {
-			return false
-		}
-	}
-	return true
-}
-
 // precisionMet reports whether one ACT interval estimate meets the
 // relative precision target: CI95 ≤ precision × |mean|. A zero mean only
 // converges with a zero half-width (no meaningful relative precision
@@ -804,11 +757,11 @@ const adaptiveRepCeiling = 1 << 14
 
 // RunAdaptiveCells grows every cell's replication count independently
 // until that cell's ACT 95% confidence half-width is at most precision ×
-// |mean ACT|: per-cell sequential stopping, the successor of the global
-// batches of RunAdaptive. Cells start at adaptiveRepFloor replications and
-// double until they converge or hit maxReps (non-positive maxReps means
-// uncapped, bounded only by adaptiveRepCeiling), so a sweep stops spending
-// seeds on already-tight cells while a high-variance cell keeps sampling.
+// |mean ACT|: per-cell sequential stopping. Cells start at
+// adaptiveRepFloor replications and double until they converge or hit
+// maxReps (non-positive maxReps means uncapped, bounded only by
+// adaptiveRepCeiling), so a sweep stops spending seeds on already-tight
+// cells while a high-variance cell keeps sampling.
 //
 // The result is ragged: each cell carries exactly the replications it
 // needed (Spec.Reps reports the largest cell), which the sweep JSON

@@ -157,7 +157,7 @@ func TestSpecHashEqualBehaviorArrivalSpellings(t *testing.T) {
 // TestShardMergeByteIdentical is the distributed-sweep acceptance test: a
 // tiny sweep split into three uneven shards, JSON round-tripped (as files
 // would be) and merged, must produce byte-identical sweep JSON to the
-// single-host run — and to the batch RunSweep adapter.
+// single-host run — with or without retained runs.
 func TestShardMergeByteIdentical(t *testing.T) {
 	spec := microSpec([]string{"DSMF", "min-min"}, 2, 7)
 	single, err := RunSweepStream(spec, RunOptions{})
@@ -166,12 +166,12 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 	want := mustJSON(t, single)
 
-	batch, err := RunSweep(spec, nil)
+	retained, err := RunSweepStream(spec, RunOptions{RetainRuns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, mustJSON(t, batch)) {
-		t.Fatal("streaming and batch-adapter JSON differ")
+	if !bytes.Equal(want, mustJSON(t, retained)) {
+		t.Fatal("retaining runs changed the sweep JSON")
 	}
 
 	// 4 jobs over 3 shards: ranges [0,1), [1,2), [2,4) — deliberately
@@ -407,45 +407,6 @@ func cellDone(c *Cell) bool {
 	return len(c.Stats) == c.Agg.Reps && c.Agg.ACT.N == c.Agg.Reps
 }
 
-func TestRunAdaptiveStopsEarlyAndAtCap(t *testing.T) {
-	spec := microSpec([]string{"DSMF"}, 8, 7)
-	// A precision no real data misses: converges at the first batch (3).
-	ce := &countingExecutor{}
-	loose, err := RunAdaptive(spec, 100, RunOptions{Executor: ce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Spec.Reps != 3 {
-		t.Fatalf("loose precision stopped at %d reps, want the initial batch of 3", loose.Spec.Reps)
-	}
-	if ce.jobs != 3 {
-		t.Fatalf("loose precision executed %d jobs, want 3", ce.jobs)
-	}
-	// A precision no real data meets: runs to the cap, reusing batches.
-	ce2 := &countingExecutor{}
-	tight, err := RunAdaptive(spec, 1e-12, RunOptions{Executor: ce2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Spec.Reps != 8 {
-		t.Fatalf("tight precision stopped at %d reps, want the cap 8", tight.Spec.Reps)
-	}
-	if ce2.jobs != 8 {
-		t.Fatalf("tight precision executed %d jobs, want 8 (batches 3+3+2 via cache reuse)", ce2.jobs)
-	}
-	// The adaptive result is bit-identical to a direct run at the final Reps.
-	direct, err := RunSweepStream(microSpec([]string{"DSMF"}, 8, 7), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustJSON(t, tight), mustJSON(t, direct)) {
-		t.Fatal("adaptive result differs from direct run at the same reps")
-	}
-	if _, err := RunAdaptive(spec, 0, RunOptions{}); err == nil {
-		t.Error("non-positive precision accepted")
-	}
-}
-
 // TestChurnSweepFoldPreservesSemantics pins the churn-axis fold: the sweep
 // engine's churn cells must reproduce the original hand-rolled ChurnSweep
 // settings bit-for-bit (half homes at double load factor, shared topology,
@@ -474,19 +435,19 @@ func TestChurnSweepFoldPreservesSemantics(t *testing.T) {
 		}
 		return res
 	}
-	results, err := ChurnSweep(scale, seed, []float64{0, 0.3}, false)
+	res, err := ChurnSweepRep(scale, seed, []float64{0, 0.3}, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, df := range []float64{0, 0.3} {
 		want := oldStyle(df)
-		if results[i].Final != want.Final {
+		if got := res.Cells[i].Stats[0].Final; got != want.Final {
 			t.Errorf("df=%.1f diverged from the pre-fold construction:\n%+v\nvs\n%+v",
-				df, results[i].Final, want.Final)
+				df, got, want.Final)
 		}
 	}
-	if results[1].Algo != "df=0.3" {
-		t.Fatalf("labels: %q", results[1].Algo)
+	if label := churnLabel(&res.Cells[1]); label != "df=0.3" {
+		t.Fatalf("labels: %q", label)
 	}
 }
 
@@ -545,9 +506,9 @@ func TestRunShardValidatesArguments(t *testing.T) {
 // TestRunAdaptiveCellsStopsPerCell is the per-cell stopping acceptance
 // test: on a sweep with one deliberately high-variance cell (HEFT's ACT at
 // micro scale swings far more across seeds than min-min's), the per-cell
-// stopper issues fewer total replications than the global-batch path at
-// the same precision, because converged cells stop drawing seeds while the
-// noisy cell keeps sampling.
+// stopper issues fewer total replications (15) than advancing every cell
+// to the largest cell's count (18), because converged cells stop drawing
+// seeds while the noisy cell keeps sampling.
 func TestRunAdaptiveCellsStopsPerCell(t *testing.T) {
 	// Measured at micro scale, seed 7: the 3-rep ACT CI/mean ratios are
 	// min-min 0.22, DSMF 0.35, HEFT 0.60; at 6 reps all fall under 0.23.
@@ -579,22 +540,6 @@ func TestRunAdaptiveCellsStopsPerCell(t *testing.T) {
 	}
 	if perCellJobs != 15 {
 		t.Fatalf("per-cell stopper executed %d jobs, want 15 (3+6+6)", perCellJobs)
-	}
-
-	// The global-batch path at the same precision advances every cell to
-	// the same count until all converge: strictly more work.
-	gspec := spec
-	gspec.Reps = 64 // generous cap so the comparison is about stopping, not capping
-	ge := &countingExecutor{}
-	global, err := RunAdaptive(gspec, precision, RunOptions{Executor: ge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if global.Spec.Reps != 6 {
-		t.Fatalf("global batches stopped at %d reps, want 6", global.Spec.Reps)
-	}
-	if ge.jobs <= perCellJobs {
-		t.Fatalf("global path executed %d jobs, per-cell %d — per-cell must issue fewer", ge.jobs, perCellJobs)
 	}
 
 	// Each converged cell's interval matches a direct run at its count

@@ -21,8 +21,7 @@ import (
 // algorithm axis and replicated over independent seeds. The spec side is
 // pure data — canonical expansion order (Scenarios, Jobs), seed derivation
 // and content hashing (SpecHash) — while execution lives in runner.go
-// behind the Executor interface. RunSweep survives as the batch-style
-// compatibility adapter over the streaming runner.
+// behind the Executor interface.
 
 // CodeVersion fingerprints the simulation semantics and participates in
 // SpecHash and in every warm-start cache key. Bump it whenever a change
@@ -375,8 +374,7 @@ type Cell struct {
 
 	// Runs holds the full per-replication Results. The streaming runner
 	// drops them the moment the cell finalizes; they are populated only
-	// when the caller opts into retention (RunOptions.RetainRuns, which
-	// the batch RunSweep adapter does for compatibility).
+	// when the caller opts into retention (RunOptions.RetainRuns).
 	Runs []Result
 
 	Agg metrics.RunAggregate
@@ -394,21 +392,6 @@ type SweepResult struct {
 	Spec      SweepSpec
 	Scenarios []Scenario
 	Cells     []Cell
-}
-
-// RunSweep expands the spec into per-replication jobs, executes them on the
-// bounded worker pool and aggregates each cell. The optional progress
-// callback is invoked serially after every completed run with (done, total).
-// The result is a pure function of the spec: the same spec produces
-// bit-identical metrics and byte-identical JSON.
-//
-// RunSweep is the batch-compatibility adapter over the streaming runner:
-// it retains every per-run Result on its cells (Cell.Runs), which is what
-// the single-replication figure extractors and the golden tests consume.
-// Callers that do not need full runs should use RunSweepStream, which
-// drops them as cells finalize.
-func RunSweep(spec SweepSpec, progress func(done, total int)) (*SweepResult, error) {
-	return RunSweepStream(spec, RunOptions{Progress: progress, RetainRuns: true})
 }
 
 // Series extracts one error-bar curve per algorithm of a single-scenario

@@ -131,7 +131,8 @@ type Config struct {
 	// workflow's home, and only the task RUNNING at departure is lost
 	// ("the degraded throughput is mainly induced by the large-load tasks
 	// which cannot be finished quickly"). The paper does not specify its
-	// loss model; DESIGN.md discusses the calibration.
+	// loss model; the churn-model experiment measures how much the choice
+	// matters.
 	HarshChurn bool
 }
 

@@ -10,6 +10,7 @@ package heuristics
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -214,37 +215,21 @@ func WithFCFSPhase2(a grid.Algorithm) grid.Algorithm {
 	return a
 }
 
-// All returns every paper algorithm keyed by its figure-legend name, in the
+// Names returns the legend names of the eight paper algorithms in the
 // legend's order: DHEFT, HEFT, max-min, min-min, DSDF, sufferage, DSMF,
-// SMF.
-//
-// Full-ahead algorithms carry per-run planner state: never share one
-// Algorithm value between concurrent simulations - use Factories for
-// parallel sweeps.
-func All() []grid.Algorithm {
-	return []grid.Algorithm{
-		NewDHEFT(), NewHEFT(), NewMaxMin(), NewMinMin(),
-		NewDSDF(), NewSufferage(), NewDSMF(), NewSMF(),
-	}
-}
-
-// Factories returns fresh-instance constructors in the same order as All,
-// for use by parallel experiment runners.
-func Factories() []func() grid.Algorithm {
-	return []func() grid.Algorithm{
-		NewDHEFT, NewHEFT, NewMaxMin, NewMinMin,
-		NewDSDF, NewSufferage, NewDSMF, NewSMF,
-	}
-}
-
-// Names returns the legend names of every paper algorithm in the same
-// order as All and Factories; each resolves through ByName. The sweep
-// engine's algorithm axis is declared in these names.
+// SMF. The sweep engine's default algorithm axis is declared in these
+// names.
 func Names() []string {
 	return []string{"DHEFT", "HEFT", "max-min", "min-min", "DSDF", "sufferage", "DSMF", "SMF"}
 }
 
-// ByName builds one algorithm from its legend name.
+// ByName builds a fresh algorithm instance from its name: a legend name
+// from Names, a DBC economic variant, a full-ahead extension planner
+// (HEFT-ins, LAHEFT, CPOP), or any of these with "+FCFS" appended for the
+// FCFS-second-phase variant of the Section IV.B ablation. The returned
+// Label is the name's canonical spelling (the lowercase aliases map to
+// legend names). Full-ahead algorithms carry per-run planner state, so
+// every concurrent simulation needs its own ByName call.
 func ByName(name string) (grid.Algorithm, error) {
 	switch name {
 	case "DSMF", "dsmf":
@@ -269,7 +254,17 @@ func ByName(name string) (grid.Algorithm, error) {
 		return NewDBCTime(), nil
 	case "DBC-ct", "dbc-ct":
 		return NewDBCCostTime(), nil
-	default:
-		return grid.Algorithm{}, fmt.Errorf("heuristics: unknown algorithm %q", name)
+	case "HEFT-ins":
+		return NewHEFTInsertion(), nil
+	case "LAHEFT":
+		return NewLAHEFT(), nil
+	case "CPOP":
+		return NewCPOP(), nil
 	}
+	if base, ok := strings.CutSuffix(name, "+FCFS"); ok {
+		if a, err := ByName(base); err == nil {
+			return WithFCFSPhase2(a), nil
+		}
+	}
+	return grid.Algorithm{}, fmt.Errorf("heuristics: unknown algorithm %q", name)
 }

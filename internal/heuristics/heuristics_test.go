@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,37 +11,53 @@ import (
 	"repro/internal/workload"
 )
 
-func TestAllReturnsEightAlgorithms(t *testing.T) {
-	algos := All()
-	if len(algos) != 8 {
-		t.Fatalf("All() returned %d algorithms, want 8", len(algos))
-	}
+func TestNamesReturnsEightAlgorithms(t *testing.T) {
+	names := Names()
 	want := []string{"DHEFT", "HEFT", "max-min", "min-min", "DSDF", "sufferage", "DSMF", "SMF"}
-	for i, a := range algos {
-		if a.Label != want[i] {
-			t.Errorf("All()[%d] = %s, want %s", i, a.Label, want[i])
+	if len(names) != len(want) {
+		t.Fatalf("Names() returned %d algorithms, want %d", len(names), len(want))
+	}
+	for i, name := range names {
+		if name != want[i] {
+			t.Errorf("Names()[%d] = %s, want %s", i, name, want[i])
+		}
+		a, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", name, err)
 		}
 		if a.Phase2 == nil {
-			t.Errorf("%s missing phase 2", a.Label)
+			t.Errorf("%s missing phase 2", name)
 		}
 		if (a.Phase1 == nil) == (a.Planner == nil) {
-			t.Errorf("%s must have exactly one of phase1/planner", a.Label)
+			t.Errorf("%s must have exactly one of phase1/planner", name)
 		}
 	}
 }
 
+// TestByName pins the registry: every name the experiment tables print
+// resolves to an algorithm whose Label is that name.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"DSMF", "SMF", "HEFT", "DHEFT", "min-min", "max-min", "sufferage", "DSDF"} {
+	names := append(Names(), "DBC-cost", "DBC-time", "DBC-ct", "HEFT-ins", "LAHEFT", "CPOP")
+	for _, base := range []string{"min-min", "max-min", "sufferage", "DHEFT"} {
+		names = append(names, base+"+FCFS")
+	}
+	for _, name := range names {
 		a, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%s): %v", name, err)
 		}
 		if a.Label != name {
-			t.Fatalf("ByName(%s) returned %s", name, a.Label)
+			t.Errorf("ByName(%s) returned %s", name, a.Label)
 		}
 	}
-	if _, err := ByName("nonsense"); err == nil {
-		t.Fatal("unknown name accepted")
+	if a, err := ByName("DHEFT+FCFS"); err != nil || a.Phase2.Name() != "FCFS" {
+		t.Errorf("DHEFT+FCFS second phase is not FCFS (err %v)", err)
+	}
+	for _, bad := range []string{"nonsense", "bogus+FCFS", "+FCFS"} {
+		_, err := ByName(bad)
+		if err == nil || !strings.Contains(err.Error(), "heuristics: unknown algorithm") {
+			t.Errorf("ByName(%q) = %v, want an unknown-algorithm error", bad, err)
+		}
 	}
 }
 
@@ -109,8 +126,11 @@ func TestEveryJITAlgorithmCompletesWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range All() {
-		algo := algo
+	for _, name := range Names() {
+		algo, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(algo.Label, func(t *testing.T) {
 			engine := sim.NewEngine()
 			g, err := grid.New(engine, grid.Config{Nodes: 12, Seed: 31}, algo)

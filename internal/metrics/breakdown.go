@@ -12,7 +12,8 @@ import (
 // workflows of a run: per-task scheduling wait (activation to dispatch),
 // transfer wait (dispatch to data-complete), queueing (ready to CPU) and
 // execution, plus node utilization. It quantifies the dual-phase model's
-// costs - e.g. the just-in-time cycle latency DESIGN.md discusses.
+// costs - e.g. the just-in-time cycle latency: a task activated between
+// scheduling cycles waits for the next one before it is dispatched.
 type Breakdown struct {
 	SchedulingWait stats.Summary // task activation -> dispatch
 	TransferWait   stats.Summary // dispatch -> all inputs arrived
