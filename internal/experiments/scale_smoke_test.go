@@ -9,12 +9,12 @@ import (
 // 100k-node topology (the compact struct-of-arrays representation - a
 // dense matrix pair at this size would need ~150 GB) must construct, run
 // a short sharded simulation end to end, and produce a sane final sample.
-// Three full gossip cycles over 100k caches take about three minutes, so
-// the test only runs when asked for explicitly (the CI large-grid job
-// sets the variable).
+// Three full gossip cycles over 100k caches took 11 s on a 2-vCPU Xeon
+// @ 2.10GHz with a 450 MB peak resident set, so the test only runs when
+// asked for explicitly (the CI large-grid job sets the variable).
 func TestHundredThousandNodeShortRun(t *testing.T) {
 	if os.Getenv("P2PGRID_LARGE") == "" {
-		t.Skip("set P2PGRID_LARGE=1 to run the 100k-node smoke (about 3 minutes)")
+		t.Skip("set P2PGRID_LARGE=1 to run the 100k-node smoke (about 11 s on 2 vCPUs)")
 	}
 	scale := Scale{
 		Name:          "100k-smoke",

@@ -13,14 +13,17 @@
 // The per-node cache is a slice sorted by origin id, not a map: the RSS
 // bound keeps it at O(log n) entries, so ordered insertion and in-place
 // compaction beat map churn by a wide margin in the simulator's hottest
-// loop (push/merge/trim run fan-out times per node per cycle), and the
+// loop (push/merge/evict run fan-out times per node per cycle), and the
 // sorted order makes RSS() allocation-free for callers that bring a buffer.
+// Eviction picks its victims by timestamp layer, a few linear passes over
+// the merged view instead of a sort, and a node's neighbor draw touches
+// O(fan-out²) positions instead of listing all n, so one cycle costs
+// O(n log² n).
 package gossip
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -128,7 +131,6 @@ type Protocol struct {
 	idle      []idleMemo    // per-node IdleKnown memo
 	sampleBuf []int         // reused by the cycle's neighbor draws
 	mergeBuf  []StateRecord // reused by push's sorted-merge
-	selBuf    []int32       // reused by evict's victim selection
 
 	// Aggregation state (push-pull averaging with epoch restarts).
 	estCap     []float64 // in-progress capacity estimate
@@ -176,7 +178,7 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		cache:     make([][]StateRecord, cfg.N),
 		version:   make([]uint32, cfg.N),
 		idle:      make([]idleMemo, cfg.N),
-		sampleBuf: make([]int, 0, cfg.N),
+		sampleBuf: make([]int, 0, 3*cfg.FanOut),
 		estCap:    make([]float64, cfg.N),
 		estBW:     make([]float64, cfg.N),
 		reportCap: make([]float64, cfg.N),
@@ -264,22 +266,21 @@ func (p *Protocol) cycle(now float64) {
 // push sends node from's whole cache (records with hops left) to node to.
 // Both caches are sorted by origin, so the receive side is one linear
 // sorted-merge into a scratch buffer - no per-record binary search, no
-// insertion shifting - with freshness expiry folded in; only the capacity
-// eviction still scans. The cycle never pushes a node to itself, so src and
-// dst never alias.
+// insertion shifting - with freshness expiry folded in; the capacity
+// eviction then takes a few more linear passes over the merged view. The
+// cycle never pushes a node to itself, so src and dst never alias.
 func (p *Protocol) push(from, to int, now float64) {
 	p.MessagesSent++
 	var bytes uint64
-	p.mergeBuf, p.selBuf, bytes = p.pushInto(from, to, now, p.mergeBuf, p.selBuf)
+	p.mergeBuf, bytes = p.pushInto(from, to, now, p.mergeBuf)
 	p.BytesSent += bytes
 }
 
-// pushInto is push's body over caller-owned scratch buffers (the merged
-// view and evict's victim-index selection), returning the (possibly grown)
-// buffers and the bytes sent. The parallel executor calls it with
-// per-worker buffers and accumulates the traffic counters itself; the
-// serial path wraps it in push.
-func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord, sel []int32) ([]StateRecord, []int32, uint64) {
+// pushInto is push's body over a caller-owned merge buffer, returning the
+// (possibly grown) buffer and the bytes sent. The parallel executor calls
+// it with per-worker buffers and accumulates the traffic counters itself;
+// the serial path wraps it in push.
+func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord) ([]StateRecord, uint64) {
 	src, dst := p.cache[from], p.cache[to]
 	expiry := p.expirySeconds()
 	out := buf[:0]
@@ -325,45 +326,48 @@ func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord, sel []
 			}
 		}
 	}
-	sel = p.evict(to, out, sel)
-	return out, sel, bytes
+	p.evict(to, out)
+	return out, bytes
 }
 
 // evict enforces the cache capacity bound on the merged view and installs
 // it as node to's cache, reusing the preallocated backing array. The
-// stalest records go first (ties to the lowest origin, which ascending
-// index order yields); the node's own record is always kept. Victims are
-// the k smallest eligible records by (timestamp, index) — selected with
-// one sort over the candidate indices instead of one full min-scan per
-// eviction — marked with a negative TTL sentinel (live records never go
-// below zero) and dropped in one compaction pass. sel is caller-owned
-// index scratch, returned possibly grown.
-func (p *Protocol) evict(to int, out []StateRecord, sel []int32) []int32 {
-	if over := len(out) - p.cfg.CacheCapacity; over > 0 {
-		sel = sel[:0]
+// victims are the over = len(out) - CacheCapacity stalest records, ties to
+// the lowest index (the lowest origin); the node's own record is always
+// kept. They are taken in whole timestamp layers, stalest first, and the
+// layer that would overshoot gives up only its lowest indices: the same set
+// as sorting every eligible record by (timestamp, index) and taking the
+// first over. Records are minted only at cycle instants and expire after
+// ExpiryCycles, so a merged view spans at most ExpiryCycles+1 layers and
+// each layer costs two linear passes (O(len*over) for arbitrary
+// timestamps). Victims are marked with a negative TTL sentinel (live
+// records never go below zero) and dropped in one compaction pass.
+func (p *Protocol) evict(to int, out []StateRecord) {
+	for over := len(out) - p.cfg.CacheCapacity; over > 0; {
+		// The stalest layer still standing: its timestamp and size.
+		var ts float64
+		size := 0
 		for i := range out {
-			if out[i].Node != to {
-				sel = append(sel, int32(i))
+			r := &out[i]
+			switch {
+			case r.Node == to || r.TTL < 0:
+				// The owner's record, or a victim already marked.
+			case size == 0 || r.Timestamp < ts:
+				ts, size = r.Timestamp, 1
+			case r.Timestamp == ts:
+				size++
 			}
 		}
-		// The (timestamp, index) order reproduces the victim sequence of
-		// the repeated strict-< min-scan this replaces: equal timestamps
-		// fall to the lower index. Indices are distinct, so the comparator
-		// is total and sort stability is irrelevant.
-		slices.SortFunc(sel, func(a, b int32) int {
-			switch ta, tb := out[a].Timestamp, out[b].Timestamp; {
-			case ta < tb:
-				return -1
-			case ta > tb:
-				return 1
-			}
-			return int(a - b)
-		})
-		if over > len(sel) {
-			over = len(sel)
+		if size == 0 {
+			break // only the owner's record is left
 		}
-		for _, i := range sel[:over] {
-			out[i].TTL = -1
+		take := min(size, over)
+		over -= take
+		for i := 0; i < len(out) && take > 0; i++ {
+			if r := &out[i]; r.Node != to && r.TTL >= 0 && r.Timestamp == ts {
+				r.TTL = -1
+				take--
+			}
 		}
 	}
 	dst := p.cache[to][:0]
@@ -374,7 +378,6 @@ func (p *Protocol) evict(to int, out []StateRecord, sel []int32) []int32 {
 	}
 	p.cache[to] = dst
 	p.version[to]++
-	return sel
 }
 
 // findOrigin locates origin in recs (sorted by Node). It returns the

@@ -362,6 +362,22 @@ func TestQuickCacheInvariants(t *testing.T) {
 	}
 }
 
+// TestSteadyStateCycleAllocations backs the claim that the gossip cycle is
+// allocation-free in steady state: once the caches have filled, a serial
+// cycle allocates at most the one object the engine's ticker costs.
+func TestSteadyStateCycleAllocations(t *testing.T) {
+	engine, _, p := startProtocol(t, 500, 1)
+	cycle := 10
+	engine.RunUntil(float64(cycle) * p.cfg.CycleSeconds)
+	allocs := testing.AllocsPerRun(20, func() {
+		cycle++
+		engine.RunUntil(float64(cycle) * p.cfg.CycleSeconds)
+	})
+	if allocs > 1 {
+		t.Fatalf("steady-state cycle: %v allocs, want <= 1", allocs)
+	}
+}
+
 func BenchmarkGossipCycle500(b *testing.B) {
 	engine := sim.NewEngine()
 	grid := newFakeGrid(500, 1)

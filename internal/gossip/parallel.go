@@ -46,7 +46,6 @@ type parallelCycle struct {
 	progress []atomic.Int32 // per-node executed-op counter
 
 	bufs [][]StateRecord // per-worker merge scratch
-	sels [][]int32       // per-worker evict-selection scratch
 }
 
 func newParallelCycle(n, workers, stride int) *parallelCycle {
@@ -55,11 +54,9 @@ func newParallelCycle(n, workers, stride int) *parallelCycle {
 		opCount:  make([]int32, n),
 		progress: make([]atomic.Int32, n),
 		bufs:     make([][]StateRecord, workers),
-		sels:     make([][]int32, workers),
 	}
 	for i := range pc.bufs {
 		pc.bufs[i] = make([]StateRecord, 0, 2*stride)
-		pc.sels[i] = make([]int32, 0, 2*stride)
 	}
 	return pc
 }
@@ -124,7 +121,7 @@ func (p *Protocol) cycleParallel(now float64) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				buf, sel := pc.bufs[w], pc.sels[w]
+				buf := pc.bufs[w]
 				var m, b uint64
 				for k := range pc.ops {
 					op := &pc.ops[k]
@@ -143,13 +140,13 @@ func (p *Protocol) cycleParallel(now float64) {
 						runtime.Gosched()
 					}
 					var nb uint64
-					buf, sel, nb = p.pushInto(int(op.from), int(op.to), now, buf, sel)
+					buf, nb = p.pushInto(int(op.from), int(op.to), now, buf)
 					m++
 					b += nb
 					pc.progress[op.from].Store(op.seqFrom + 1)
 					pc.progress[op.to].Store(op.seqTo + 1)
 				}
-				pc.bufs[w], pc.sels[w] = buf, sel
+				pc.bufs[w] = buf
 				msgsTotal.Add(m)
 				bytesTotal.Add(b)
 			}(w)

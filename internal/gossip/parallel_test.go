@@ -32,8 +32,28 @@ func runCycles(t *testing.T, n, workers, cycles int, seed int64) *Protocol {
 			grid.loads[i] = float64((i*31 + c*17) % 97)
 		}
 		engine.RunUntil(float64(c) * p.cfg.CycleSeconds)
+		checkCacheInvariants(t, p, c)
 	}
 	return p
+}
+
+// checkCacheInvariants asserts that every cache is strictly increasing by
+// origin (sorted, no duplicate origins) and holds at most CacheCapacity
+// records plus the owner's own.
+func checkCacheInvariants(t *testing.T, p *Protocol, cycle int) {
+	t.Helper()
+	for i, recs := range p.cache {
+		if len(recs) > p.cfg.CacheCapacity+1 {
+			t.Fatalf("workers=%d cycle %d: node %d holds %d records, capacity %d+1",
+				p.cfg.Workers, cycle, i, len(recs), p.cfg.CacheCapacity)
+		}
+		for j := 1; j < len(recs); j++ {
+			if recs[j-1].Node >= recs[j].Node {
+				t.Fatalf("workers=%d cycle %d: node %d cache not strictly increasing by origin at %d: %d then %d",
+					p.cfg.Workers, cycle, i, j, recs[j-1].Node, recs[j].Node)
+			}
+		}
+	}
 }
 
 // TestParallelCycleBitIdentical pins the executor's core guarantee: any

@@ -82,7 +82,7 @@ func Shuffle[T any](rng *rand.Rand, xs []T) {
 // gossip fan-out neighbor selection. If fewer than k candidates exist, all of
 // them are returned.
 func SampleWithout(rng *rand.Rand, n, k, exclude int) []int {
-	return SampleWithoutInto(rng, n, k, exclude, make([]int, 0, n))
+	return SampleWithoutInto(rng, n, k, exclude, make([]int, 0, 3*min(k, n)))
 }
 
 // SampleWithoutInto is SampleWithout reusing buf's backing array, for
@@ -90,20 +90,52 @@ func SampleWithout(rng *rand.Rand, n, k, exclude int) []int {
 // buf and is only valid until the buffer's next use. It draws exactly the
 // same rng sequence as SampleWithout, so swapping between the two never
 // perturbs a seeded run.
+//
+// The draw is a partial Fisher-Yates shuffle over the candidate list
+// [0, n) without exclude, which is never built: position p holds p, or p+1
+// past the excluded value, until a swap overwrites it. The first k positions
+// live in buf[:k]; the at most k positions at or beyond k that a swap
+// touches are kept as (position, value) pairs in buf[k:3k]. The cost is
+// O(k²) and independent of n, and a buffer of capacity 3k is never grown.
+// When k covers every candidate, all of them are returned in ascending
+// order without drawing.
 func SampleWithoutInto(rng *rand.Rand, n, k, exclude int, buf []int) []int {
-	candidates := buf[:0]
-	for i := 0; i < n; i++ {
-		if i != exclude {
-			candidates = append(candidates, i)
+	m := n
+	if exclude >= 0 && exclude < n {
+		m--
+	}
+	candidate := func(p int) int {
+		if exclude >= 0 && p >= exclude {
+			return p + 1
 		}
+		return p
 	}
-	if k >= len(candidates) {
-		return candidates
+	out := buf[:0]
+	for p := 0; p < min(k, m); p++ {
+		out = append(out, candidate(p))
 	}
-	// Partial Fisher-Yates: only the first k positions need to be drawn.
+	if k >= m {
+		return out
+	}
+	moved := out[k:] // (position, value) pairs for swapped positions >= k
 	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(candidates)-i)
-		candidates[i], candidates[j] = candidates[j], candidates[i]
+		j := i + rng.Intn(m-i)
+		if j < k {
+			out[i], out[j] = out[j], out[i]
+			continue
+		}
+		slot := -1
+		for s := 0; s < len(moved); s += 2 {
+			if moved[s] == j {
+				slot = s
+				break
+			}
+		}
+		if slot < 0 {
+			slot = len(moved)
+			moved = append(moved, j, candidate(j))
+		}
+		out[i], moved[slot+1] = moved[slot+1], out[i]
 	}
-	return candidates[:k]
+	return out
 }

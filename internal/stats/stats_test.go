@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -97,6 +99,78 @@ func TestSampleWithoutSmallPopulation(t *testing.T) {
 	got := SampleWithout(rng, 3, 10, 1)
 	if len(got) != 2 {
 		t.Fatalf("want all 2 candidates, got %v", got)
+	}
+}
+
+// sampleWithoutReference is the dense partial Fisher-Yates the sparse
+// SampleWithoutInto replaced: materialize every candidate, then swap the
+// first k positions into place. Every seeded run depends on the sampler's
+// exact draws, so the rewrite is pinned to this body.
+func sampleWithoutReference(rng *rand.Rand, n, k, exclude int) []int {
+	var candidates []int
+	for i := 0; i < n; i++ {
+		if i != exclude {
+			candidates = append(candidates, i)
+		}
+	}
+	if k >= len(candidates) {
+		return candidates
+	}
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(len(candidates)-i)
+		candidates[i], candidates[j] = candidates[j], candidates[i]
+	}
+	return candidates[:k]
+}
+
+func TestSampleWithoutIntoMatchesReference(t *testing.T) {
+	params := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60000; trial++ {
+		n := params.Intn(80)
+		k := params.Intn(n + 3)
+		exclude := params.Intn(n+4) - 2
+		seed := params.Int63()
+		wantRng := rand.New(rand.NewSource(seed))
+		want := sampleWithoutReference(wantRng, n, k, exclude)
+
+		gotRng := rand.New(rand.NewSource(seed))
+		got := SampleWithoutInto(gotRng, n, k, exclude, make([]int, 0, params.Intn(8)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n %d, k %d, exclude %d): got %v, want %v", trial, n, k, exclude, got, want)
+		}
+		if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+			t.Fatalf("trial %d (n %d, k %d, exclude %d): rng advanced differently", trial, n, k, exclude)
+		}
+	}
+}
+
+func TestSampleWithoutAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n, k = 100000, 17
+	buf := make([]int, 0, 3*k)
+	if a := testing.AllocsPerRun(100, func() { buf = SampleWithoutInto(rng, n, k, 5, buf) }); a != 0 {
+		t.Fatalf("SampleWithoutInto into a 3k buffer: %v allocs/op, want 0", a)
+	}
+	for _, k := range []int{1, 17, n - 1, n + 5} {
+		if a := testing.AllocsPerRun(10, func() { SampleWithout(rng, n, k, 5) }); a != 1 {
+			t.Fatalf("SampleWithout(k %d): %v allocs/op, want 1", k, a)
+		}
+	}
+}
+
+var sampleSink []int
+
+func BenchmarkSampleWithoutInto(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		k := Log2Ceil(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			buf := make([]int, 0, 3*k)
+			for i := 0; i < b.N; i++ {
+				buf = SampleWithoutInto(rng, n, k, i%n, buf)
+			}
+			sampleSink = buf
+		})
 	}
 }
 
