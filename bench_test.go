@@ -206,12 +206,11 @@ func BenchmarkSingleDSMFRun(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedDSMFRun measures the sweep-unit simulation on the
-// K-sharded parallel engine (results are bit-identical at every K; see
-// internal/sim). With GOMAXPROCS >= 4 the shards=4 case is where the
-// engine's wall-clock speedup shows; on fewer cores the sub-benchmarks
-// track the pure coordination overhead instead, which should stay within
-// a few percent of BenchmarkSingleDSMFRun.
+// BenchmarkShardedDSMFRun measures the sweep-unit simulation with each
+// gossip cycle replayed on K workers (results are bit-identical at every
+// K; see gossip.Config.Workers). The replay only pays off with idle
+// cores: with GOMAXPROCS >= K it measures the speedup, on fewer cores the
+// workers' coordination overhead against BenchmarkSingleDSMFRun.
 func BenchmarkShardedDSMFRun(b *testing.B) {
 	for _, shards := range []int{2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

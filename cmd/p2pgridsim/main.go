@@ -114,6 +114,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -168,7 +169,7 @@ type options struct {
 	cacheBudget int64   // GC size budget in MB (0 = no size bound)
 	cacheDays   float64 // GC max entry age in days (0 = no age bound)
 
-	shards int // event-engine shards per simulation (<= 1: serial engine)
+	shards int // gossip-cycle workers per simulation (<= 1: serial cycle)
 
 	serve       string  // run the scheduler daemon on this address instead of an experiment
 	pace        float64 // -serve wall-clock pacing (virtual s per wall s; 0 = virtual clock)
@@ -221,6 +222,24 @@ func (o options) arrivalSetup() (arrival.Spec, *traces.Trace, error) {
 	return sp.Arrival, sp.Trace, nil
 }
 
+// serveFlags are the flags that combine with -serve. The -serve help text
+// and the rejection of any other flag both read this one list.
+var serveFlags = map[string]bool{
+	"scale": true, "algo": true, "seed": true, "shards": true, "price": true,
+	"pace": true, "max-inflight": true,
+	"log-level": true, "log-format": true, "pprof": true,
+}
+
+// flagList renders a flag set as "-a, -b, -c" in sorted order.
+func flagList(flags map[string]bool) string {
+	names := make([]string, 0, len(flags))
+	for f := range flags {
+		names = append(names, "-"+f)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
 // cliMain parses args and runs the selected experiment, returning the
 // process exit code. Every failure path returns non-zero: flag errors and
 // stray positional arguments exit 2, experiment errors exit 1.
@@ -254,8 +273,8 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		cgc     = fs.Bool("cache-gc", false, "garbage-collect the -cache directory (needs -cache-budget and/or -cache-days) and exit")
 		cbudget = fs.Int64("cache-budget", 0, "cache GC size budget in MB, oldest-access entries dropped first (0 = no size bound)")
 		cdays   = fs.Float64("cache-days", 0, "cache GC max entry age in days (0 = no age bound)")
-		shards  = fs.Int("shards", 1, "event-engine shards per simulation: >1 runs each grid on the parallel sharded engine (bit-identical results at any value)")
-		serve   = fs.String("serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API; combines only with -scale, -algo, -seed, -shards, -pace, -max-inflight")
+		shards  = fs.Int("shards", 1, "parallel workers for each gossip cycle of a simulation (bit-identical results at any value)")
+		serve   = fs.String("serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API; combines only with "+flagList(serveFlags))
 		pace    = fs.Float64("pace", 0, "wall-clock pacing for -serve: virtual seconds advanced per wall second (0 = deterministic virtual clock, advanced only via POST /v1/clock/advance)")
 		maxInf  = fs.Int("max-inflight", 256, "admission bound for -serve: submissions beyond this many unfinished workflows are shed with 429 + Retry-After")
 		arts    = fs.String("artifacts", "", "directory for CSV/DAT/gnuplot artifacts (series experiments, sweep)")
@@ -328,15 +347,9 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		// Service mode runs one grid forever; batch-experiment flags have
 		// nothing to configure there, so reject them loudly instead of
 		// silently ignoring them.
-		allowed := map[string]bool{
-			"serve": true, "pace": true, "max-inflight": true,
-			"scale": true, "algo": true, "seed": true, "shards": true,
-			"price":     true,
-			"log-level": true, "log-format": true, "pprof": true,
-		}
 		for _, f := range setFlags {
-			if !allowed[f] {
-				fmt.Fprintf(stderr, "p2pgridsim: -%s does not combine with -serve (the daemon takes -scale, -algo, -seed, -shards, -pace, -max-inflight, -price, -log-level, -log-format, -pprof; workloads arrive over the HTTP API)\n", f)
+			if f != "serve" && !serveFlags[f] {
+				fmt.Fprintf(stderr, "p2pgridsim: -%s does not combine with -serve (the daemon takes %s; workloads arrive over the HTTP API)\n", f, flagList(serveFlags))
 				return 2
 			}
 		}

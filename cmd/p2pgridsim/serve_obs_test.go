@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -8,6 +10,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // startDaemon launches runCLI(-serve …) on a free port and returns the
@@ -82,23 +86,57 @@ func TestServePprofGating(t *testing.T) {
 
 // TestServeMetricsHistograms asserts the daemon's scrape carries the grid
 // histogram families end to end: drive a workflow over HTTP, advance the
-// clock, and require populated _bucket/_sum/_count series.
+// clock, and require populated _bucket/_sum/_count series. The workflow
+// carries a deadline and a budget on this priced daemon, so the status
+// must report the contract with settled spend, and the spend counter must
+// move.
 func TestServeMetricsHistograms(t *testing.T) {
 	base, stop := startDaemon(t, "-price", "1")
 	defer stop()
-	resp, err := http.Post(base+"/v1/workflows", "application/json", strings.NewReader(`{"name":"hist"}`))
+	resp, err := http.Post(base+"/v1/workflows", "application/json",
+		strings.NewReader(`{"name":"hist","deadline_seconds":172800,"budget":1000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub wire.SubmitResponse
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || err != nil {
+		t.Fatalf("submit: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if sub.Deadline <= 0 || sub.Budget <= 0 {
+		t.Fatalf("submit response does not echo the contract: %+v", sub)
+	}
+	// A submission without a contract is still fine on a priced daemon.
+	resp, err = http.Post(base+"/v1/workflows", "application/json", strings.NewReader(`{"name":"plain"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: status %d", resp.StatusCode)
+		t.Fatalf("plain submit: status %d", resp.StatusCode)
 	}
 	resp, err = http.Post(base+"/v1/clock/advance", "application/json", strings.NewReader(`{"by_seconds": 86400}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	resp, err = http.Get(fmt.Sprintf("%s/v1/workflows/%d", base, sub.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st wire.WorkflowStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("status: %v", err)
+	}
+	if st.State != "completed" || st.SLA == nil {
+		t.Fatalf("status after a day: state %q, sla %+v; want completed with an sla block", st.State, st.SLA)
+	}
+	if st.SLA.Deadline <= 0 || st.SLA.Spend <= 0 || st.SLA.DeadlineMissed {
+		t.Fatalf("sla block %+v: want a deadline, spend > 0 and no miss", *st.SLA)
+	}
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -121,5 +159,8 @@ func TestServeMetricsHistograms(t *testing.T) {
 		if strings.Contains(scrape, fam+"_count 0\n") {
 			t.Fatalf("family %s empty after a completed workflow:\n%s", fam, scrape)
 		}
+	}
+	if !strings.Contains(scrape, "\np2pgrid_spend_total ") || strings.Contains(scrape, "\np2pgrid_spend_total 0\n") {
+		t.Fatalf("spend counter did not move after a priced completion:\n%s", scrape)
 	}
 }

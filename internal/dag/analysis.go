@@ -21,11 +21,6 @@ const (
 	PaperAvgBandwidthMbs = 5.05
 )
 
-// PaperEstimates returns the Table I averages as an Estimates value.
-func PaperEstimates() Estimates {
-	return Estimates{AvgCapacityMIPS: PaperAvgCapacityMIPS, AvgBandwidthMbs: PaperAvgBandwidthMbs}
-}
-
 // EET is the expected execution time of a task on an average node.
 func (e Estimates) EET(t Task) float64 {
 	if t.Load == 0 {

@@ -98,19 +98,19 @@ type Setting struct {
 	RescheduleFailed bool
 	Harsh            bool // maximal-loss churn semantics (HarshChurn)
 
-	// Shards selects the parallel event engine: values > 1 run the grid on
-	// a sim.ShardedEngine with that many event lanes. Purely an execution
-	// detail - every shard count yields bit-identical results - so it is
-	// excluded from serialized artifacts and cache identities.
+	// Shards spreads each gossip cycle over this many workers (values > 1
+	// build the engine with sim.NewSharded; the grid passes its shard count
+	// to gossip.Config.Workers). Purely an execution detail - every shard
+	// count yields bit-identical results - so it is excluded from
+	// serialized artifacts and cache identities.
 	Shards int `json:"-"`
 
 	// Tracer, when non-nil, receives the run's lifecycle event stream
 	// (dispatches, transfers, executions, completions) — the feed behind
 	// -trace-out span export and the ASCII Gantt. Obs, when non-nil,
 	// collects the virtual-time latency histograms. Both are pure
-	// observation: they never feed back into simulation state, force the
-	// engine onto its serial event lane (the grid does this itself), and
-	// are excluded from serialized artifacts and cache identities.
+	// observation: they never feed back into simulation state and are
+	// excluded from serialized artifacts and cache identities.
 	Tracer trace.Recorder   `json:"-"`
 	Obs    *obs.GridMetrics `json:"-"`
 }

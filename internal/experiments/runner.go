@@ -60,10 +60,10 @@ type RunOptions struct {
 	// replication count.
 	RetainRuns bool
 
-	// Shards runs every simulation on the sharded parallel engine with
-	// this many event lanes (values <= 1: the serial engine). Results and
-	// artifacts are bit-identical across shard counts, so Shards is not
-	// part of any cache key or spec hash.
+	// Shards spreads every simulation's gossip cycle over this many
+	// workers (values <= 1: serial). Results and artifacts are
+	// bit-identical across shard counts, so Shards is not part of any
+	// cache key or spec hash.
 	Shards int
 
 	// Obs collects the virtual-time latency histograms of every

@@ -8,7 +8,8 @@ import (
 // TestHundredThousandNodeShortRun is the large-grid acceptance smoke: a
 // 100k-node topology (the compact struct-of-arrays representation - a
 // dense matrix pair at this size would need ~150 GB) must construct, run
-// a short sharded simulation end to end, and produce a sane final sample.
+// a short simulation with a 4-worker gossip replay end to end, and produce
+// a sane final sample.
 // Three full gossip cycles over 100k caches took 11 s on a 2-vCPU Xeon
 // @ 2.10GHz with a 450 MB peak resident set, so the test only runs when
 // asked for explicitly (the CI large-grid job sets the variable).

@@ -106,9 +106,9 @@ type idleMemo struct {
 }
 
 // Clock is the engine surface the protocol needs: the simulated time and
-// periodic scheduling on the GLOBAL event lane. Both sim.Engine and
-// sim.ShardedEngine satisfy it (a gossip cycle is one global event; its
-// internal parallelism is the protocol's own, see Config.Workers).
+// periodic scheduling. sim.Engine satisfies it. A gossip cycle is one
+// event; its internal parallelism is the protocol's own (see
+// Config.Workers), sized from the engine's shard count by the grid.
 type Clock interface {
 	Now() float64
 	Every(start, period float64, fn sim.Event) *sim.Ticker
@@ -536,19 +536,5 @@ func (p *Protocol) AddLoadHint(scheduler, target int, deltaMI float64) {
 	if i, ok := findOrigin(p.cache[scheduler], target); ok {
 		p.cache[scheduler][i].TotalLoadMI += deltaMI
 		p.version[scheduler]++
-	}
-}
-
-// ForgetNode drops origin's record from every cache immediately. The grid
-// calls it when a node departs non-gracefully only in tests; normal churn
-// relies on freshness expiry like the real protocol would.
-func (p *Protocol) ForgetNode(origin int) {
-	for i := range p.cache {
-		recs := p.cache[i]
-		if j, ok := findOrigin(recs, origin); ok {
-			copy(recs[j:], recs[j+1:])
-			p.cache[i] = recs[:len(recs)-1]
-			p.version[i]++
-		}
 	}
 }

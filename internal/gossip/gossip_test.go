@@ -278,19 +278,6 @@ func TestIdleKnownCountsOnlyIdle(t *testing.T) {
 	}
 }
 
-func TestForgetNode(t *testing.T) {
-	engine, _, p := startProtocol(t, 30, 41)
-	engine.RunUntil(4 * 300)
-	p.ForgetNode(2)
-	for i := 0; i < 30; i++ {
-		for _, rec := range p.RSS(i) {
-			if rec.Node == 2 {
-				t.Fatal("ForgetNode left a record behind")
-			}
-		}
-	}
-}
-
 func TestMessageCountScalesWithFanOut(t *testing.T) {
 	engineA := sim.NewEngine()
 	gridA := newFakeGrid(64, 5)

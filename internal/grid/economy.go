@@ -94,7 +94,7 @@ func (wf *WorkflowInstance) RemainingBudget() (float64, bool) {
 }
 
 // commitCost reserves the money for running t on node `to`: called from
-// Dispatch on the global lane. No-op when pricing is off.
+// Dispatch. No-op when pricing is off.
 func (g *Grid) commitCost(t *TaskInstance, to int) {
 	if g.prices == nil {
 		return
@@ -105,9 +105,9 @@ func (g *Grid) commitCost(t *TaskInstance, to int) {
 }
 
 // settleCost converts a completed task's commitment into workflow spend:
-// called from onTaskDone on the global lane. The operator pays for every
-// completed execution, including late completions of already-failed
-// workflows — a decentralized system has no way to claw back finished work.
+// called from onTaskDone. The operator pays for every completed execution,
+// including late completions of already-failed workflows — a decentralized
+// system has no way to claw back finished work.
 func (g *Grid) settleCost(t *TaskInstance) {
 	if t.costCommitted == 0 {
 		return
@@ -118,9 +118,9 @@ func (g *Grid) settleCost(t *TaskInstance) {
 }
 
 // releaseCost returns an unfinished task's commitment to the workflow:
-// called on the global lane when a dispatched task fails or is handed back
-// before completing. Money spent on completed work is never refunded (see
-// settleCost); only unconsumed reservations are.
+// called when a dispatched task fails or is handed back before completing.
+// Money spent on completed work is never refunded (see settleCost); only
+// unconsumed reservations are.
 func (g *Grid) releaseCost(t *TaskInstance) {
 	if t.costCommitted == 0 {
 		return

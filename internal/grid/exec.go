@@ -75,15 +75,11 @@ func (g *Grid) sourceHolds(src, inc int) bool {
 
 // startInputTransfer launches one input stream for dispatched task t.
 // allowFallback retries once from the home node's durable copy if the
-// source departs mid-transfer (graceful churn model only). The landing
-// event runs on t.Node's lane: it mutates only the destination node and
-// the task, and its reads of foreign node liveness (sourceHolds) are safe
-// because Alive/Incarnation change only on the global lane, never during a
-// shard window.
+// source departs mid-transfer (graceful churn model only).
 func (g *Grid) startInputTransfer(t *TaskInstance, src int, sizeMb float64, gen int, allowFallback bool) {
 	srcInc := g.Nodes[src].Incarnation
 	dur := g.Net.TransferTime(src, t.Node, sizeMb)
-	g.nodeAfter(t.Node, dur, func(at float64) {
+	g.Engine.After(dur, func(at float64) {
 		if t.gen != gen || t.State != TaskDispatched {
 			return // stale event: the task failed or was reverted meanwhile
 		}
@@ -93,7 +89,7 @@ func (g *Grid) startInputTransfer(t *TaskInstance, src int, sizeMb float64, gen 
 				g.startInputTransfer(t, t.WF.Home, sizeMb, gen, false)
 				return
 			}
-			g.failTransfer(t, at)
+			g.failTask(t, at)
 			return
 		}
 		t.pendingInputs--
@@ -130,7 +126,7 @@ func (g *Grid) maybeRun(node *Node, now float64) {
 	g.observeExecStart(t, now)
 	gen := t.gen
 	dur := t.Task().Load / node.Capacity
-	g.nodeAfter(node.ID, dur, func(at float64) { g.taskFinished(t, gen, at) })
+	g.Engine.After(dur, func(at float64) { g.taskFinished(t, gen, at) })
 }
 
 // taskFinished completes a running task, releases the CPU, activates
@@ -155,14 +151,7 @@ func (g *Grid) taskFinished(t *TaskInstance, gen int, now float64) {
 	t.FinishedAt = now
 	g.emit(traceExecEnd, node.ID, nil, t)
 	g.observeExecEnd(t, now)
-	// Completion propagation touches the workflow and its other tasks -
-	// global state - so it crosses back to the global lane; CPU handoff to
-	// the next ready task is node-local and stays in the window.
-	if g.inlineDefer() {
-		g.onTaskDone(t, now)
-	} else {
-		g.Engine.DeferFrom(node.ID, now, func(at float64) { g.onTaskDone(t, at) })
-	}
+	g.onTaskDone(t, now)
 	g.maybeRun(node, now)
 }
 

@@ -3,33 +3,9 @@ package grid
 // failTask marks a task as failed, detaches it from its resource node, and
 // either fails the whole workflow (the paper's base behaviour: "failed
 // tasks ... will be left to our future work") or, under the rescheduling
-// extension, reverts it to a schedule point for re-dispatch. Callers on
-// the global lane (churn, planner dispatch) use it directly; shard-lane
-// callers must use failTransfer, which splits the two halves across the
-// lane boundary.
+// extension, reverts it to a schedule point for re-dispatch. Bumping the
+// generation turns the task's in-flight events stale.
 func (g *Grid) failTask(t *TaskInstance, now float64) {
-	g.failTaskLocal(t)
-	g.failTaskGlobal(t, now)
-}
-
-// failTransfer fails a task from its own node's lane (a transfer landing
-// that found its source gone). The task-local half runs immediately so
-// sibling transfer events later in the same window see the bumped
-// generation and go stale; the workflow half - counters, trace, reschedule
-// or workflow failure - is global state and crosses at the barrier.
-func (g *Grid) failTransfer(t *TaskInstance, at float64) {
-	origin := t.Node // captured before failTaskLocal clears it
-	g.failTaskLocal(t)
-	if g.inlineDefer() {
-		g.failTaskGlobal(t, at)
-	} else {
-		g.Engine.DeferFrom(origin, at, func(now float64) { g.failTaskGlobal(t, now) })
-	}
-}
-
-// failTaskLocal is the node-owned half of a task failure: detach the task
-// from its resource node and invalidate its in-flight events.
-func (g *Grid) failTaskLocal(t *TaskInstance) {
 	if t.Node >= 0 {
 		switch t.State {
 		case TaskDispatched, TaskReady, TaskRunning:
@@ -53,10 +29,7 @@ func (g *Grid) failTaskLocal(t *TaskInstance) {
 	t.State = TaskFailed
 	t.Node = -1
 	t.pendingInputs = 0
-}
 
-// failTaskGlobal is the workflow half of a task failure.
-func (g *Grid) failTaskGlobal(t *TaskInstance, now float64) {
 	g.releaseCost(t)
 	g.FailedTasks++
 	g.emit(traceTaskFailed, -1, nil, t)

@@ -118,8 +118,7 @@ type Config struct {
 	// (queue waits, exec and transfer times, workflow completion,
 	// gossip staleness at dispatch, DBC candidate counts) into its
 	// histogram families. Like Tracer, a nil Obs costs one nil check
-	// per hook, and a non-nil one pins events to the serial lane so
-	// the order-sensitive float sums are deterministic.
+	// per hook.
 	Obs *obs.GridMetrics
 
 	// HarshChurn selects the maximal-loss churn semantics: a departing node
@@ -146,8 +145,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Grid is one simulated P2P grid system bound to a sim.Host (the serial
-// engine or the sharded engine; see internal/sim).
+// Grid is one simulated P2P grid system bound to a sim.Host (see
+// internal/sim).
 type Grid struct {
 	Engine sim.Host
 	Cfg    Config
@@ -158,14 +157,6 @@ type Grid struct {
 	algo      Algorithm
 	estimator BandwidthEstimator
 	rng       *rand.Rand
-
-	// serialEvents forces every event onto the global lane. Full-ahead
-	// planners dispatch successors the instant a task completes (a central
-	// act touching many nodes), and tracing records a totally ordered event
-	// stream; neither fits the shard ownership discipline, so both run
-	// exactly as before on the global lane. With the serial engine the
-	// flag is irrelevant: every lane is the global lane.
-	serialEvents bool
 
 	Workflows []*WorkflowInstance
 
@@ -260,7 +251,6 @@ func New(engine sim.Host, cfg Config, algo Algorithm) (*Grid, error) {
 		algo:   algo,
 		rng:    stats.NewRand(cfg.Seed, 0xE5),
 	}
-	g.serialEvents = algo.Planner != nil || cfg.Tracer != nil || cfg.Obs != nil
 	if cfg.UseOracleBandwidth {
 		g.estimator = topology.BandwidthOracle{Net: net}
 	} else {
@@ -287,8 +277,8 @@ func New(engine sim.Host, cfg Config, algo Algorithm) (*Grid, error) {
 		gc.Seed = stats.SplitSeed(cfg.Seed, 0x17)
 	}
 	if gc.Workers == 0 {
-		// A sharded engine advertises how much parallelism the run wants;
-		// spread the gossip cycle (the dominant global event) over as many
+		// The engine's shard count is how much parallelism the run wants;
+		// spread the gossip cycle (the dominant event) over as many
 		// workers. Bit-identical either way, see gossip.Config.Workers.
 		gc.Workers = engine.Shards()
 	}
@@ -408,17 +398,6 @@ func (g *Grid) hasSchedulePoints(nd *Node) bool {
 // Algorithm returns the plugged algorithm (read-only).
 func (g *Grid) Algorithm() Algorithm { return g.algo }
 
-// SetAlgorithm installs the scheduling strategy. Must be called before
-// Start; exposed separately so algorithm constructors can inspect the grid.
-func (g *Grid) SetAlgorithm(a Algorithm) error {
-	if err := a.validate(); err != nil {
-		return err
-	}
-	g.algo = a
-	g.serialEvents = a.Planner != nil || g.Cfg.Tracer != nil || g.Cfg.Obs != nil
-	return nil
-}
-
 // TrueAverages returns the oracle system-wide average capacity and
 // bandwidth, the baseline of Eq. 1.
 func (g *Grid) TrueAverages() (avgCap, avgBW float64) { return g.trueAvgCap, g.trueAvgBW }
@@ -458,24 +437,4 @@ func (g *Grid) AliveCount() int {
 		}
 	}
 	return n
-}
-
-// nodeAfter schedules fn d seconds from now on the lane owning node:
-// per-node work (transfer landings, task completions) that touches only
-// that node's state. Planner/tracer runs pin everything to the global lane.
-func (g *Grid) nodeAfter(node int, d float64, fn sim.Event) {
-	if g.serialEvents {
-		g.Engine.After(d, fn)
-		return
-	}
-	g.Engine.NodeAfter(node, d, fn)
-}
-
-// inlineDefer reports whether cross-cutting effects raised on a node's
-// lane run synchronously: always on the serial engine (its DeferFrom is a
-// direct call anyway) and on pinned-global runs. Callers branch on it
-// before building the deferred closure, keeping the dominant serial hot
-// path free of a per-completion allocation.
-func (g *Grid) inlineDefer() bool {
-	return g.serialEvents || g.Engine.Shards() <= 1
 }

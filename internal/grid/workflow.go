@@ -103,7 +103,7 @@ type TaskInstance struct {
 	// costCommitted is the money reserved for this dispatch (load × the
 	// target node's per-MI rate), settled into workflow spend on completion
 	// or released on failure/hand-back. 0 while pricing is off or the task
-	// is undispatched. Mutated only on the global lane (economy.go).
+	// is undispatched. Mutated only in economy.go.
 	costCommitted float64
 }
 
@@ -128,8 +128,7 @@ type WorkflowInstance struct {
 	// SLA is the workflow's resolved deadline/budget contract (zero for
 	// best-effort traffic). Spend is the money settled for completed task
 	// executions, Committed the money reserved for in-flight dispatches;
-	// DeadlineMissed is stamped at workflow completion. All economic fields
-	// are mutated only on the global lane.
+	// DeadlineMissed is stamped at workflow completion.
 	SLA            SLA
 	Spend          float64
 	Committed      float64

@@ -235,10 +235,9 @@ var (
 
 // GridMetrics bundles the virtual-time histogram families one grid feeds
 // from its existing hook points. A nil *GridMetrics disables observation
-// entirely (every hook is one nil check); a non-nil one forces the
-// grid's events onto the serial lane, because histogram float sums are
-// order-sensitive and the observations must happen in deterministic
-// event order.
+// entirely (every hook is one nil check). Histogram float sums are
+// order-sensitive, so the observations must happen in the engine's
+// deterministic event order.
 type GridMetrics struct {
 	// WorkflowCompletion is admission-to-completion latency per workflow.
 	WorkflowCompletion *Histogram

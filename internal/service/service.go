@@ -84,7 +84,7 @@ type Config struct {
 	// Seed is the root seed for topology, capacities and generated
 	// workloads (default 2010).
 	Seed int64
-	// Shards > 1 runs the grid on the parallel sharded engine
+	// Shards > 1 spreads each gossip cycle over that many workers
 	// (bit-identical results at any value).
 	Shards int
 	// MaxInFlight bounds admitted-but-unfinished workflows; submissions

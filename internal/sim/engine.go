@@ -4,15 +4,10 @@
 // (a monotone sequence number breaks ties), which makes every run with the
 // same seed bit-for-bit reproducible.
 //
-// Two engines implement the Host binding surface. Engine is the serial
-// event loop: one queue, one goroutine, one clock. ShardedEngine is the
-// conservatively-synchronized parallel engine: per-node events are
-// partitioned into K shard queues that run concurrently between barriers,
-// where a barrier sits at every global-lane event (the gossip/scheduling
-// period supplies the lookahead window) and delivers cross-shard effects
-// in deterministic (time, origin-shard, seq) order. Under the ownership
-// discipline documented on Host, a K-shard run is bit-identical to the
-// serial run.
+// Engine is a serial event loop: one queue, one goroutine, one clock. Its
+// shard count (NewSharded) schedules nothing in parallel; the grid passes it
+// to the gossip protocol, which replays each cycle on that many workers
+// with bit-identical results (see gossip.Config.Workers).
 package sim
 
 import (
@@ -96,12 +91,19 @@ type Engine struct {
 	queue   eventQueue
 	free    []*queuedEvent // drained events awaiting reuse by At
 	stopped bool
+	shards  int // reported by Shards; sets the gossip cycle's workers
 	// Processed counts fired (non-cancelled) events, for tests and tracing.
 	Processed uint64
 }
 
-// NewEngine returns an engine positioned at time zero.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an engine positioned at time zero, with one shard.
+func NewEngine() *Engine { return &Engine{shards: 1} }
+
+// NewSharded returns an engine positioned at time zero whose Shards reports
+// k clamped to [1, numNodes]. Every event still runs on the one serial loop.
+func NewSharded(k, numNodes int) *Engine {
+	return &Engine{shards: max(1, min(k, numNodes))}
+}
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -257,21 +259,16 @@ func (e *Engine) nextEventTime() float64 {
 	return math.Inf(1)
 }
 
-// NodeAt schedules fn on the event lane owning the given node. On the
-// serial engine every node shares the one lane, so NodeAt is At; the
-// sharded engine routes it to the node's shard queue. See Host.
+// NodeAt is At; node is ignored. It stays for callers of the Host surface
+// (see Host).
 func (e *Engine) NodeAt(node int, t float64, fn Event) Handle { return e.At(t, fn) }
 
-// NodeAfter schedules fn d seconds from now on the lane owning node.
+// NodeAfter is After; node is ignored.
 func (e *Engine) NodeAfter(node int, d float64, fn Event) Handle { return e.After(d, fn) }
 
-// DeferFrom hands fn, raised at time t by an event on node's lane, to the
-// global lane. The serial engine has only one lane, so the handoff is a
-// synchronous call; the sharded engine buffers it in the origin shard's
-// mailbox and delivers it at the next barrier in (time, origin-shard, seq)
-// order. Handlers must treat the carried time t, not the wall clock at
-// delivery, as the instant the effect logically happened.
+// DeferFrom calls fn(t) at once; node is ignored.
 func (e *Engine) DeferFrom(node int, t float64, fn Event) { fn(t) }
 
-// Shards returns the number of parallel event lanes (always 1 here).
-func (e *Engine) Shards() int { return 1 }
+// Shards returns the shard count the engine was built with: the number of
+// workers the gossip cycle is spread over (1 from NewEngine).
+func (e *Engine) Shards() int { return e.shards }

@@ -350,3 +350,50 @@ func TestCancelledEventsAreRecycled(t *testing.T) {
 		t.Fatalf("free list has %d entries, want 1", len(e.free))
 	}
 }
+
+// TestStopMidRunLeavesClockAtStopTime pins the Stop/RunUntil contract: a
+// Stop fired by an event must leave the clock at that event's time, not
+// silently advance it to the deadline the run never actually simulated.
+func TestStopMidRunLeavesClockAtStopTime(t *testing.T) {
+	e := NewEngine()
+	e.At(10, func(now float64) { e.Stop() })
+	fired := false
+	e.At(20, func(now float64) { fired = true })
+	e.RunUntil(100)
+	if fired {
+		t.Fatal("event after Stop fired")
+	}
+	if got := e.Now(); got != 10 {
+		t.Fatalf("clock after Stop mid-run = %v, want 10 (the stopping event's time)", got)
+	}
+	if !e.Stopped() {
+		t.Fatal("Stopped() = false after Stop")
+	}
+	// Stop is sticky: a later RunUntil is a no-op and moves nothing.
+	e.RunUntil(200)
+	if got := e.Now(); got != 10 {
+		t.Fatalf("clock after RunUntil on stopped engine = %v, want 10", got)
+	}
+}
+
+func TestStopBeforeRunLeavesClockAtZero(t *testing.T) {
+	e := NewEngine()
+	e.At(5, func(now float64) {})
+	e.Stop()
+	e.RunUntil(100)
+	if e.Now() != 0 {
+		t.Fatalf("clock = %v, want 0", e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want the unfired event still queued", e.Pending())
+	}
+}
+
+func TestShardedClampsShardCount(t *testing.T) {
+	if got := NewSharded(8, 3).Shards(); got != 3 {
+		t.Fatalf("Shards() = %d, want clamp to 3 nodes", got)
+	}
+	if got := NewSharded(0, 5).Shards(); got != 1 {
+		t.Fatalf("Shards() = %d, want clamp to 1", got)
+	}
+}

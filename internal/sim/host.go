@@ -1,26 +1,17 @@
 package sim
 
-// Host is the scheduling surface the grid runtime binds to. It abstracts
-// over the serial Engine and the sharded engine so the same runtime code
-// runs in both modes:
+// Host is the scheduling surface the grid runtime binds to. Every event
+// runs on the engine's one serial loop:
 //
-//   - At/After/Every schedule on the GLOBAL lane: the serial, deterministic
-//     event stream that carries gossip cycles, scheduling rounds, churn,
-//     submissions and metric snapshots. Global events run on one goroutine
-//     and may touch any state.
-//   - NodeAt/NodeAfter schedule on the lane OWNING a node: per-node work
-//     (input-transfer completions, task executions) that touches only that
-//     node's state. On the sharded engine these lanes run in parallel
-//     between barriers, so a node-lane handler must not mutate state owned
-//     by another node or by the global lane.
-//   - DeferFrom hands a cross-cutting effect raised inside a node-lane
-//     handler (workflow completion propagation, task-failure bookkeeping)
-//     back to the global lane. The sharded engine buffers it and delivers
-//     at the next barrier in deterministic (time, origin-shard, seq) order;
-//     the serial engine invokes it synchronously.
-//
-// Both implementations are deterministic: a K-shard run is bit-identical
-// to the serial run (see ShardedEngine).
+//   - At/After/Every schedule events: gossip cycles, scheduling rounds,
+//     churn, submissions, metric snapshots, transfer landings and task
+//     completions.
+//   - Shards reports how many workers the gossip cycle is spread over (see
+//     gossip.Config.Workers); results are bit-identical at any value.
+//   - NodeAt, NodeAfter and DeferFrom are one-line forwards to At, After
+//     and a direct call. Nothing in the simulator calls them; they stay
+//     while the benchmark's traced driver (bench/trace.go) forwards them
+//     through an embedded Driver.
 type Host interface {
 	Now() float64
 	At(t float64, fn Event) Handle
@@ -33,9 +24,9 @@ type Host interface {
 }
 
 // Driver is a Host that can also drive the run loop: what an experiment
-// harness holds. *Engine and *ShardedEngine both implement it.
-// NextEventTime lets a long-lived driver (the service daemon) skip idle
-// virtual time instead of advancing in blind increments.
+// harness holds. *Engine implements it. NextEventTime lets a long-lived
+// driver (the service daemon) skip idle virtual time instead of advancing
+// in blind increments.
 type Driver interface {
 	Host
 	RunUntil(deadline float64)
@@ -44,7 +35,4 @@ type Driver interface {
 	NextEventTime() float64
 }
 
-var (
-	_ Driver = (*Engine)(nil)
-	_ Driver = (*ShardedEngine)(nil)
-)
+var _ Driver = (*Engine)(nil)
