@@ -10,19 +10,21 @@
 // resource set RSS is a freshness-bounded cache whose capacity is
 // O(log2(n)), reproducing Fig. 11(a)'s bounded "acquaintance" count.
 //
-// The per-node cache is a slice sorted by origin id, not a map: the RSS
-// bound keeps it at O(log n) entries, so ordered insertion and in-place
-// compaction beat map churn by a wide margin in the simulator's hottest
-// loop (push/merge/evict run fan-out times per node per cycle), and the
-// sorted order makes RSS() allocation-free for callers that bring a buffer.
-// Eviction picks its victims by timestamp layer, a few linear passes over
-// the merged view instead of a sort, and a node's neighbor draw touches
-// O(fan-out²) positions instead of listing all n, so one cycle costs
-// O(n log² n).
+// The per-node cache is a slice, not a map: the RSS bound keeps it at
+// O(log n) entries. It is kept in eviction order - timestamp descending,
+// ties to the higher origin - so a push, the simulator's hottest loop
+// (fan-out pushes per node per cycle), is one merge of two ordered caches
+// that keeps the first copy of each origin and stops as soon as the
+// receiver is full: the records it never reaches are exactly the stalest
+// ones a capacity eviction would drop, so they are never written. Readers
+// see origin order: AppendRSS sorts its at most CacheCapacity records on
+// the way out. A node's neighbor draw touches O(fan-out²) positions
+// instead of listing all n, so one cycle costs O(n log² n).
 package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/sim"
@@ -122,15 +124,20 @@ type Protocol struct {
 	local  LocalState
 	rng    *rand.Rand
 
-	// cache[i] is node i's RSS: at most one record per origin, sorted by
-	// ascending origin id. All n slices share one preallocated backing
-	// array; push-time overshoot happens in mergeBuf, so the slices never
-	// outgrow their stride.
+	// cache[i] is node i's RSS: at most one record per origin, in eviction
+	// order (strictly decreasing by Timestamp, then Node), so expired
+	// records form its tail. Every slice has capacity CacheCapacity+1: at
+	// most CacheCapacity records after a push, plus the owner's own record
+	// merged in between pushes. fwd[i] counts cache[i]'s records with hops
+	// left (TTL > 0), expired ones included, and ownTS[i] is the timestamp
+	// of node i's own record in cache[i], -Inf when it holds none.
 	cache     [][]StateRecord
-	version   []uint32      // bumped on every cache[i] mutation
-	idle      []idleMemo    // per-node IdleKnown memo
-	sampleBuf []int         // reused by the cycle's neighbor draws
-	mergeBuf  []StateRecord // reused by push's sorted-merge
+	fwd       []int32
+	ownTS     []float64
+	version   []uint32    // bumped on every cache[i] mutation
+	idle      []idleMemo  // per-node IdleKnown memo
+	sampleBuf []int       // reused by the cycle's neighbor draws
+	scratch   pushScratch // the serial cycle's push scratch
 
 	// Aggregation state (push-pull averaging with epoch restarts).
 	estCap     []float64 // in-progress capacity estimate
@@ -176,6 +183,8 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		local:     local,
 		rng:       stats.NewRand(cfg.Seed, 0xC3),
 		cache:     make([][]StateRecord, cfg.N),
+		fwd:       make([]int32, cfg.N),
+		ownTS:     make([]float64, cfg.N),
 		version:   make([]uint32, cfg.N),
 		idle:      make([]idleMemo, cfg.N),
 		sampleBuf: make([]int, 0, 3*cfg.FanOut),
@@ -184,15 +193,13 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		reportCap: make([]float64, cfg.N),
 		reportBW:  make([]float64, cfg.N),
 	}
-	// A cache holds at most CacheCapacity records after eviction, plus one
-	// own-record insert between pushes; transient push overshoot lives in
-	// mergeBuf, never in the per-node slices.
 	stride := cfg.CacheCapacity + 1
 	backing := make([]StateRecord, cfg.N*stride)
 	for i := range p.cache {
 		p.cache[i] = backing[i*stride : i*stride : (i+1)*stride]
+		p.ownTS[i] = math.Inf(-1)
 	}
-	p.mergeBuf = make([]StateRecord, 0, 2*stride)
+	p.scratch = newPushScratch(cfg.N, stride)
 	for i := 0; i < cfg.N; i++ {
 		s := local.Snapshot(i)
 		p.estCap[i], p.estBW[i] = s.Capacity, s.AvgBandwidthObs
@@ -263,165 +270,195 @@ func (p *Protocol) cycle(now float64) {
 	}
 }
 
+// pushScratch is one pusher's reusable state: a spare cache slot the merge
+// writes into before it trades places with the receiver's cache, and
+// per-origin stamps marking the origins the current merge has placed.
+type pushScratch struct {
+	spare []StateRecord
+	seen  []uint32
+	seq   uint32
+}
+
+func newPushScratch(n, stride int) pushScratch {
+	return pushScratch{spare: make([]StateRecord, 0, stride), seen: make([]uint32, n)}
+}
+
 // push sends node from's whole cache (records with hops left) to node to.
-// Both caches are sorted by origin, so the receive side is one linear
-// sorted-merge into a scratch buffer - no per-record binary search, no
-// insertion shifting - with freshness expiry folded in; the capacity
-// eviction then takes a few more linear passes over the merged view. The
-// cycle never pushes a node to itself, so src and dst never alias.
+// The cycle never pushes a node to itself, so src and dst never alias.
 func (p *Protocol) push(from, to int, now float64) {
 	p.MessagesSent++
-	var bytes uint64
-	p.mergeBuf, bytes = p.pushInto(from, to, now, p.mergeBuf)
-	p.BytesSent += bytes
+	p.BytesSent += p.pushInto(from, to, now, &p.scratch)
 }
 
-// pushInto is push's body over a caller-owned merge buffer, returning the
-// (possibly grown) buffer and the bytes sent. The parallel executor calls
-// it with per-worker buffers and accumulates the traffic counters itself;
-// the serial path wraps it in push.
-func (p *Protocol) pushInto(from, to int, now float64, buf []StateRecord) ([]StateRecord, uint64) {
-	src, dst := p.cache[from], p.cache[to]
+// pushInto is push's body over caller-owned scratch, returning the bytes
+// sent. The parallel executor calls it with per-worker scratch and
+// accumulates the traffic counters itself; the serial path wraps it in push.
+//
+// Both caches are in eviction order, so the receiver's new cache is one
+// merge of the two in that order. A forwarded record (one with hops left)
+// spends a hop; the first copy of an origin the merge reaches is its
+// freshest, and when both sides hold the same minting the copy with more
+// hops left wins, the receiver's on a tie (fresher). The owner's record is
+// always kept; of the rest, the merge keeps the first CacheCapacity, or one
+// fewer when the owner's record is in the merged view, and stops there:
+// everything after is what evicting the stalest records, ties to the lower
+// origin, would drop. The merge writes into s.spare, which then trades
+// places with the receiver's cache.
+func (p *Protocol) pushInto(from, to int, now float64, s *pushScratch) uint64 {
 	expiry := p.expirySeconds()
-	out := buf[:0]
-	var bytes uint64
+	src := liveHead(p.cache[from], now, expiry)
+	dst := liveHead(p.cache[to], now, expiry)
+
+	// Whether the owner's record is in the merged view decides the room
+	// left for the others. The receiver's own copy settles it unless that
+	// is missing or expired; then only a forwarded copy can bring it.
+	ownPending := now-p.ownTS[to] <= expiry
+	if !ownPending {
+		for i := range src {
+			if src[i].Node == to {
+				ownPending = src[i].TTL > 0
+				break
+			}
+		}
+	}
+	room := p.cfg.CacheCapacity
+	if ownPending {
+		room--
+	}
+
+	if s.seq++; s.seq == 0 {
+		clear(s.seen)
+		s.seq = 1
+	}
+	seen, seq := s.seen, s.seq
+	out := s.spare[:0]
+	var fwd int32
+	ownTS := math.Inf(-1)
 	si, di := 0, 0
-	for si < len(src) || di < len(dst) {
+	for (room > 0 || ownPending) && (si < len(src) || di < len(dst)) {
+		var r *StateRecord
+		hop := 0 // 1 when r is a forwarded copy, which spends a hop
 		switch {
-		case di == len(dst) || (si < len(src) && src[si].Node < dst[di].Node):
-			// New origin arriving with the push.
-			rec := src[si]
+		case si < len(src) && src[si].TTL <= 0:
+			si++ // no hops left: not forwarded
+			continue
+		case di == len(dst):
+			r, hop = &src[si], 1
 			si++
-			if rec.TTL <= 0 {
-				continue
-			}
-			bytes += MessageBytes
-			rec.TTL--
-			if now-rec.Timestamp <= expiry {
-				out = append(out, rec)
-			}
-		case si == len(src) || dst[di].Node < src[si].Node:
-			// Receiver-only origin: survives unless its record expired.
-			rec := dst[di]
+		case si == len(src):
+			r = &dst[di]
 			di++
-			if now-rec.Timestamp <= expiry {
-				out = append(out, rec)
-			}
 		default:
-			// Both sides know this origin: keep the freshest record
-			// (higher timestamp, then higher remaining TTL).
-			rec, old := src[si], dst[di]
-			si++
-			di++
-			if rec.TTL > 0 {
-				bytes += MessageBytes
-				rec.TTL--
-				if now-rec.Timestamp <= expiry && fresher(rec, old) {
-					out = append(out, rec)
-					continue
-				}
-			}
-			if now-old.Timestamp <= expiry {
-				out = append(out, old)
-			}
-		}
-	}
-	p.evict(to, out)
-	return out, bytes
-}
-
-// evict enforces the cache capacity bound on the merged view and installs
-// it as node to's cache, reusing the preallocated backing array. The
-// victims are the over = len(out) - CacheCapacity stalest records, ties to
-// the lowest index (the lowest origin); the node's own record is always
-// kept. They are taken in whole timestamp layers, stalest first, and the
-// layer that would overshoot gives up only its lowest indices: the same set
-// as sorting every eligible record by (timestamp, index) and taking the
-// first over. Records are minted only at cycle instants and expire after
-// ExpiryCycles, so a merged view spans at most ExpiryCycles+1 layers and
-// each layer costs two linear passes (O(len*over) for arbitrary
-// timestamps). Victims are marked with a negative TTL sentinel (live
-// records never go below zero) and dropped in one compaction pass.
-func (p *Protocol) evict(to int, out []StateRecord) {
-	for over := len(out) - p.cfg.CacheCapacity; over > 0; {
-		// The stalest layer still standing: its timestamp and size.
-		var ts float64
-		size := 0
-		for i := range out {
-			r := &out[i]
+			sr, dr := &src[si], &dst[di]
 			switch {
-			case r.Node == to || r.TTL < 0:
-				// The owner's record, or a victim already marked.
-			case size == 0 || r.Timestamp < ts:
-				ts, size = r.Timestamp, 1
-			case r.Timestamp == ts:
-				size++
+			case before(sr, dr):
+				r, hop = sr, 1
+				si++
+			case sr.Node != dr.Node || sr.Timestamp != dr.Timestamp:
+				r = dr // dr comes before sr
+				di++
+			default:
+				// The same origin and minting on both sides.
+				r = dr
+				if sr.TTL-1 > dr.TTL {
+					r, hop = sr, 1
+				}
+				si++
+				di++
 			}
 		}
-		if size == 0 {
-			break // only the owner's record is left
+		node := r.Node
+		if seen[node] == seq {
+			continue // a fresher copy of this origin is already placed
 		}
-		take := min(size, over)
-		over -= take
-		for i := 0; i < len(out) && take > 0; i++ {
-			if r := &out[i]; r.Node != to && r.TTL >= 0 && r.Timestamp == ts {
-				r.TTL = -1
-				take--
-			}
+		if node == to {
+			ownPending = false
+			ownTS = r.Timestamp
+		} else if room == 0 {
+			continue // full: only the owner's record can still enter
+		} else {
+			room--
+		}
+		seen[node] = seq
+		out = append(out, *r)
+		if out[len(out)-1].TTL -= hop; out[len(out)-1].TTL > 0 {
+			fwd++
 		}
 	}
-	dst := p.cache[to][:0]
-	for i := range out {
-		if out[i].TTL >= 0 {
-			dst = append(dst, out[i])
-		}
-	}
-	p.cache[to] = dst
+	p.cache[to], s.spare = out, p.cache[to][:0]
+	p.fwd[to], p.ownTS[to] = fwd, ownTS
 	p.version[to]++
+	return uint64(p.fwd[from]) * MessageBytes
 }
 
-// findOrigin locates origin in recs (sorted by Node). It returns the
-// matching index, or the insertion position with found == false.
-func findOrigin(recs []StateRecord, origin int) (idx int, found bool) {
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if recs[mid].Node < origin {
-			lo = mid + 1
-		} else {
-			hi = mid
+// liveHead returns recs without its expired tail.
+func liveHead(recs []StateRecord, now, expiry float64) []StateRecord {
+	n := len(recs)
+	for n > 0 && now-recs[n-1].Timestamp > expiry {
+		n--
+	}
+	return recs[:n]
+}
+
+// before reports whether a precedes b in eviction order: the later mint
+// first, and among equal mints the higher origin. Eviction takes records
+// from the back.
+func before(a, b *StateRecord) bool {
+	return a.Timestamp > b.Timestamp || (a.Timestamp == b.Timestamp && a.Node > b.Node)
+}
+
+// indexOrigin returns the position of origin's record in recs, or -1.
+func indexOrigin(recs []StateRecord, origin int) int {
+	for i := range recs {
+		if recs[i].Node == origin {
+			return i
 		}
 	}
-	return lo, lo < len(recs) && recs[lo].Node == origin
+	return -1
 }
 
 // fresher reports whether record a supersedes record b about the same
 // origin: a later mint time wins, and among equal mints the copy with more
 // forwarding hops left. Both of the protocol's install paths (merge and
-// push's sorted-merge) share this single definition.
+// push's ordered merge) share this single definition.
 func fresher(a, b StateRecord) bool {
 	return a.Timestamp > b.Timestamp ||
 		(a.Timestamp == b.Timestamp && a.TTL > b.TTL)
 }
 
-// merge keeps the freshest record per origin, inserting in origin order.
+// merge keeps the freshest record per origin, in eviction order.
 func (p *Protocol) merge(at int, rec StateRecord, now float64) {
 	if now-rec.Timestamp > p.expirySeconds() {
 		return
 	}
 	recs := p.cache[at]
-	i, ok := findOrigin(recs, rec.Node)
-	if ok {
-		if fresher(rec, recs[i]) {
-			recs[i] = rec
-			p.version[at]++
+	i := indexOrigin(recs, rec.Node)
+	switch {
+	case i < 0:
+		i = len(recs)
+		recs = append(recs, rec)
+		p.cache[at] = recs
+	case fresher(rec, recs[i]):
+		if recs[i].TTL > 0 {
+			p.fwd[at]--
 		}
+	default:
 		return
 	}
-	recs = append(recs, StateRecord{})
-	copy(recs[i+1:], recs[i:])
-	recs[i] = rec
-	p.cache[at] = recs
+	// Move rec forward from i to its place: a new origin was appended at
+	// i, and a fresher copy sorts no later than the one it replaces.
+	j := 0
+	for j < i && before(&recs[j], &rec) {
+		j++
+	}
+	copy(recs[j+1:i+1], recs[j:i])
+	recs[j] = rec
+	if rec.TTL > 0 {
+		p.fwd[at]++
+	}
+	if rec.Node == at {
+		p.ownTS[at] = rec.Timestamp
+	}
 	p.version[at]++
 }
 
@@ -431,24 +468,25 @@ func (p *Protocol) expirySeconds() float64 {
 
 // AppendRSS appends node's current resource set - fresh records about OTHER
 // nodes, in ascending origin order - to buf and returns the extended slice.
-// Callers on the scheduling hot path pass a reused buffer (sliced to zero
-// length) to keep the per-round view allocation-free.
+// The cache is in eviction order, so the records are insertion-sorted into
+// origin order on the way out, at most CacheCapacity of them. Callers on
+// the scheduling hot path pass a reused buffer (sliced to zero length) to
+// keep the per-round view allocation-free.
 func (p *Protocol) AppendRSS(node int, buf []StateRecord) []StateRecord {
 	now := p.engine.Now()
-	for _, rec := range p.cache[node] {
-		if rec.Node == node || now-rec.Timestamp > p.expirySeconds() {
+	start := len(buf)
+	for _, rec := range liveHead(p.cache[node], now, p.expirySeconds()) {
+		if rec.Node == node {
 			continue
 		}
 		buf = append(buf, rec)
+		j := len(buf) - 1
+		for ; j > start && buf[j-1].Node > rec.Node; j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = rec
 	}
 	return buf
-}
-
-// RSS returns node's current resource set in a fresh slice. This is the
-// RSS(p_s) the first-phase scheduler iterates over; hot-path callers should
-// prefer AppendRSS with a reused buffer.
-func (p *Protocol) RSS(node int) []StateRecord {
-	return p.AppendRSS(node, make([]StateRecord, 0, len(p.cache[node])))
 }
 
 // RSSSize returns |RSS(node)| without materializing records.
@@ -491,34 +529,13 @@ func (p *Protocol) Averages(node int) (avgCapacity, avgBandwidth float64) {
 	return p.reportCap[node], p.reportBW[node]
 }
 
-// MeanRecordAge returns the average staleness (seconds since minting) of
-// node's fresh RSS records - the information-quality metric behind the
-// scheduler's estimation error under churn. Returns 0 for an empty view.
-func (p *Protocol) MeanRecordAge(node int) float64 {
-	now := p.engine.Now()
-	var sum float64
-	n := 0
-	for _, rec := range p.cache[node] {
-		if rec.Node == node || now-rec.Timestamp > p.expirySeconds() {
-			continue
-		}
-		sum += now - rec.Timestamp
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // RecordAge returns the staleness (seconds since minting) of viewer's
 // cached record about origin, ok=false when viewer holds no fresh record
-// (never received one, or it expired). This is the per-decision
-// counterpart of MeanRecordAge: the scheduler's information age about
-// one specific node, sampled by the observability layer at dispatch.
+// (never received one, or it expired): the scheduler's information age
+// about one specific node, sampled by the observability layer at dispatch.
 func (p *Protocol) RecordAge(viewer, origin int) (age float64, ok bool) {
-	i, ok := findOrigin(p.cache[viewer], origin)
-	if !ok {
+	i := indexOrigin(p.cache[viewer], origin)
+	if i < 0 {
 		return 0, false
 	}
 	age = p.engine.Now() - p.cache[viewer][i].Timestamp
@@ -533,7 +550,7 @@ func (p *Protocol) RecordAge(viewer, origin int) (age float64, ok bool) {
 // state record in RSS(p_s)"), so one scheduling round does not flood a
 // single node before gossip refreshes.
 func (p *Protocol) AddLoadHint(scheduler, target int, deltaMI float64) {
-	if i, ok := findOrigin(p.cache[scheduler], target); ok {
+	if i := indexOrigin(p.cache[scheduler], target); i >= 0 {
 		p.cache[scheduler][i].TotalLoadMI += deltaMI
 		p.version[scheduler]++
 	}

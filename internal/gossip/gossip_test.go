@@ -116,7 +116,7 @@ func TestRSSExcludesSelfAndIsSorted(t *testing.T) {
 	engine, _, p := startProtocol(t, 50, 3)
 	engine.RunUntil(5 * 300)
 	for i := 0; i < 50; i++ {
-		rss := p.RSS(i)
+		rss := p.AppendRSS(i, nil)
 		prev := -1
 		for _, rec := range rss {
 			if rec.Node == i {
@@ -136,7 +136,7 @@ func TestRecordsCarryCurrentState(t *testing.T) {
 	engine.RunUntil(4 * 300)
 	found := 0
 	for i := 0; i < 30; i++ {
-		for _, rec := range p.RSS(i) {
+		for _, rec := range p.AppendRSS(i, nil) {
 			if rec.Node == 5 {
 				found++
 				if rec.TotalLoadMI != 12345 {
@@ -161,7 +161,7 @@ func TestDeadNodeRecordsExpire(t *testing.T) {
 	expiry := p.Config().ExpiryCycles * p.Config().CycleSeconds
 	engine.RunUntil(5*300 + expiry + 2*300)
 	for i := 0; i < 40; i++ {
-		for _, rec := range p.RSS(i) {
+		for _, rec := range p.AppendRSS(i, nil) {
 			if rec.Node == 7 {
 				t.Fatalf("node %d still lists dead node 7 after expiry", i)
 			}
@@ -174,7 +174,7 @@ func TestDeadNodesDoNotGossip(t *testing.T) {
 	grid.alive[3] = false
 	engine.RunUntil(6 * 300)
 	for i := 0; i < 30; i++ {
-		for _, rec := range p.RSS(i) {
+		for _, rec := range p.AppendRSS(i, nil) {
 			if rec.Node == 3 {
 				t.Fatalf("never-alive node 3 appeared in node %d's RSS", i)
 			}
@@ -233,7 +233,7 @@ func TestAddLoadHint(t *testing.T) {
 	engine, _, p := startProtocol(t, 20, 31)
 	engine.RunUntil(4 * 300)
 	var target int = -1
-	for _, rec := range p.RSS(0) {
+	for _, rec := range p.AppendRSS(0, nil) {
 		target = rec.Node
 		break
 	}
@@ -241,13 +241,13 @@ func TestAddLoadHint(t *testing.T) {
 		t.Fatal("node 0 knows nobody after 4 cycles")
 	}
 	before := float64(-1)
-	for _, rec := range p.RSS(0) {
+	for _, rec := range p.AppendRSS(0, nil) {
 		if rec.Node == target {
 			before = rec.TotalLoadMI
 		}
 	}
 	p.AddLoadHint(0, target, 500)
-	for _, rec := range p.RSS(0) {
+	for _, rec := range p.AppendRSS(0, nil) {
 		if rec.Node == target {
 			if rec.TotalLoadMI != before+500 {
 				t.Fatalf("hint not applied: %v, want %v", rec.TotalLoadMI, before+500)
@@ -270,7 +270,7 @@ func TestIdleKnownCountsOnlyIdle(t *testing.T) {
 		if idle > total {
 			t.Fatalf("idle %d > total %d", idle, total)
 		}
-		for _, rec := range p.RSS(i) {
+		for _, rec := range p.AppendRSS(i, nil) {
 			if rec.Node >= 20 && rec.TotalLoadMI == 0 {
 				t.Fatalf("busy node %d advertised as idle", rec.Node)
 			}
@@ -333,7 +333,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 			if p.RSSSize(i) > p.Config().CacheCapacity {
 				return false
 			}
-			for _, rec := range p.RSS(i) {
+			for _, rec := range p.AppendRSS(i, nil) {
 				if now-rec.Timestamp > expiry {
 					return false
 				}

@@ -45,7 +45,7 @@ type parallelCycle struct {
 	opCount  []int32        // per-node op counter used while building
 	progress []atomic.Int32 // per-node executed-op counter
 
-	bufs [][]StateRecord // per-worker merge scratch
+	scratch []pushScratch // per-worker push scratch
 }
 
 func newParallelCycle(n, workers, stride int) *parallelCycle {
@@ -53,10 +53,10 @@ func newParallelCycle(n, workers, stride int) *parallelCycle {
 		ownRecs:  make([]StateRecord, n),
 		opCount:  make([]int32, n),
 		progress: make([]atomic.Int32, n),
-		bufs:     make([][]StateRecord, workers),
+		scratch:  make([]pushScratch, workers),
 	}
-	for i := range pc.bufs {
-		pc.bufs[i] = make([]StateRecord, 0, 2*stride)
+	for i := range pc.scratch {
+		pc.scratch[i] = newPushScratch(n, stride)
 	}
 	return pc
 }
@@ -65,7 +65,7 @@ func newParallelCycle(n, workers, stride int) *parallelCycle {
 // bit-identical to the serial loop in cycle. The epoch restart already ran.
 func (p *Protocol) cycleParallel(now float64) {
 	workers := p.cfg.Workers
-	if p.par == nil || len(p.par.bufs) != workers {
+	if p.par == nil || len(p.par.scratch) != workers {
 		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.CacheCapacity+1)
 	}
 	pc := p.par
@@ -121,7 +121,7 @@ func (p *Protocol) cycleParallel(now float64) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				buf := pc.bufs[w]
+				scratch := &pc.scratch[w]
 				var m, b uint64
 				for k := range pc.ops {
 					op := &pc.ops[k]
@@ -139,14 +139,11 @@ func (p *Protocol) cycleParallel(now float64) {
 					for pc.progress[op.to].Load() != op.seqTo {
 						runtime.Gosched()
 					}
-					var nb uint64
-					buf, nb = p.pushInto(int(op.from), int(op.to), now, buf)
+					b += p.pushInto(int(op.from), int(op.to), now, scratch)
 					m++
-					b += nb
 					pc.progress[op.from].Store(op.seqFrom + 1)
 					pc.progress[op.to].Store(op.seqTo + 1)
 				}
-				pc.bufs[w] = buf
 				msgsTotal.Add(m)
 				bytesTotal.Add(b)
 			}(w)

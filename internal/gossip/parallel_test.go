@@ -37,9 +37,10 @@ func runCycles(t *testing.T, n, workers, cycles int, seed int64) *Protocol {
 	return p
 }
 
-// checkCacheInvariants asserts that every cache is strictly increasing by
-// origin (sorted, no duplicate origins) and holds at most CacheCapacity
-// records plus the owner's own.
+// checkCacheInvariants asserts that every cache is strictly decreasing by
+// (Timestamp, Node) - eviction order, no duplicate origins - holds at most
+// CacheCapacity records plus the owner's own, and that its fwd and ownTS
+// bookkeeping matches a recount.
 func checkCacheInvariants(t *testing.T, p *Protocol, cycle int) {
 	t.Helper()
 	for i, recs := range p.cache {
@@ -48,10 +49,14 @@ func checkCacheInvariants(t *testing.T, p *Protocol, cycle int) {
 				p.cfg.Workers, cycle, i, len(recs), p.cfg.CacheCapacity)
 		}
 		for j := 1; j < len(recs); j++ {
-			if recs[j-1].Node >= recs[j].Node {
-				t.Fatalf("workers=%d cycle %d: node %d cache not strictly increasing by origin at %d: %d then %d",
-					p.cfg.Workers, cycle, i, j, recs[j-1].Node, recs[j].Node)
+			if !before(&recs[j-1], &recs[j]) {
+				t.Fatalf("workers=%d cycle %d: node %d cache not in eviction order at %d: %+v then %+v",
+					p.cfg.Workers, cycle, i, j, recs[j-1], recs[j])
 			}
+		}
+		if fwd, ownTS := recount(i, recs); p.fwd[i] != fwd || p.ownTS[i] != ownTS {
+			t.Fatalf("workers=%d cycle %d: node %d fwd %d ownTS %v, recomputed %d %v",
+				p.cfg.Workers, cycle, i, p.fwd[i], p.ownTS[i], fwd, ownTS)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func (*spreadPhase1) Name() string { return "test-spread" }
 func (s *spreadPhase1) Schedule(g *Grid, home *Node, now float64) {
 	for _, wf := range g.ActiveWorkflows(home.ID) {
 		for _, t := range g.SchedulePoints(wf) {
-			rss := g.RSS(home.ID)
+			rss := g.Gossip.AppendRSS(home.ID, nil)
 			targets := []int{home.ID}
 			for _, rec := range rss {
 				targets = append(targets, rec.Node)
@@ -384,22 +384,32 @@ func TestMaxReschedulesBoundsRetries(t *testing.T) {
 	}
 }
 
-func TestMeanRecordAgeGrowsWithStaleness(t *testing.T) {
+func TestRecordAgeGrowsWithStaleness(t *testing.T) {
 	engine, g := newTestGrid(t, 20, 99)
 	g.Start()
 	engine.RunUntil(4 * 300)
-	age0 := g.Gossip.MeanRecordAge(0)
-	if age0 < 0 {
-		t.Fatalf("negative record age %v", age0)
+	// The freshest record node 0 holds, so it outlives the frozen interval.
+	origin, age0 := -1, 0.0
+	for _, rec := range g.Gossip.AppendRSS(0, nil) {
+		age, ok := g.Gossip.RecordAge(0, rec.Node)
+		if !ok || age < 0 {
+			t.Fatalf("record about %d: age %v ok=%v", rec.Node, age, ok)
+		}
+		if origin < 0 || age < age0 {
+			origin, age0 = rec.Node, age
+		}
 	}
-	// Freeze gossip by killing everyone else: ages must grow while the
-	// records stay fresh enough to count.
+	if origin < 0 {
+		t.Fatal("node 0 knows nobody after 4 cycles")
+	}
+	// Freeze gossip by killing everyone else: no fresher record about
+	// origin can reach node 0, so the age grows by exactly the frozen
+	// interval while the record stays fresh enough to count.
 	for i := 1; i < 20; i++ {
 		g.Nodes[i].Alive = false
 	}
 	engine.RunUntil(4*300 + 600)
-	age1 := g.Gossip.MeanRecordAge(0)
-	if age1 <= age0 {
-		t.Fatalf("record age did not grow: %v -> %v", age0, age1)
+	if age1, ok := g.Gossip.RecordAge(0, origin); !ok || age1 != age0+600 {
+		t.Fatalf("record age about %d: %v -> %v (ok=%v), want %v", origin, age0, age1, ok, age0+600)
 	}
 }

@@ -411,12 +411,9 @@ func (g *Grid) Averages(node int) (avgCap, avgBW float64) {
 	return g.Gossip.Averages(node)
 }
 
-// RSS returns the gossip resource view of node (Algorithm 1's RSS(p_s)) in
-// a fresh slice.
-func (g *Grid) RSS(node int) []gossip.StateRecord { return g.Gossip.RSS(node) }
-
-// RSSView returns the same view in a grid-owned scratch buffer, valid only
-// until the next RSSView call. First-phase schedulers run back-to-back on
+// RSSView returns the gossip resource view of node (Algorithm 1's
+// RSS(p_s)) in a grid-owned scratch buffer, valid only until the next
+// RSSView call. First-phase schedulers run back-to-back on
 // one engine thread, so sharing the scratch keeps every scheduling round
 // allocation-free.
 func (g *Grid) RSSView(node int) []gossip.StateRecord {

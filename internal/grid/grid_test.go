@@ -20,7 +20,7 @@ func (greedyPhase1) Schedule(g *Grid, home *Node, now float64) {
 		rpm := dag.RPM(wf.W, est)
 		for _, t := range g.SchedulePoints(wf) {
 			best, bestLoad := home.ID, home.TotalLoadMI
-			for _, rec := range g.RSS(home.ID) {
+			for _, rec := range g.Gossip.AppendRSS(home.ID, nil) {
 				if rec.TotalLoadMI < bestLoad {
 					best, bestLoad = rec.Node, rec.TotalLoadMI
 				}

@@ -74,7 +74,7 @@ func TestAddLoadHintUpdatesGossipRecord(t *testing.T) {
 	engine.RunUntil(1200) // a few cycles so RSSes populate
 
 	scheduler := 0
-	rss := g.RSS(scheduler)
+	rss := g.Gossip.AppendRSS(scheduler, nil)
 	if len(rss) == 0 {
 		t.Fatal("gossip produced an empty RSS; cannot exercise the hint")
 	}
@@ -82,15 +82,15 @@ func TestAddLoadHintUpdatesGossipRecord(t *testing.T) {
 	before := rss[0].TotalLoadMI
 
 	g.AddLoadHint(scheduler, target, 500)
-	after := g.RSS(scheduler)
+	after := g.Gossip.AppendRSS(scheduler, nil)
 	if after[0].Node != target || after[0].TotalLoadMI != before+500 {
 		t.Fatalf("hint not applied: record %+v, want load %v", after[0], before+500)
 	}
 
 	// A hint about an unknown target must be a no-op, not an insertion.
-	sizeBefore := len(g.RSS(scheduler))
+	sizeBefore := len(g.Gossip.AppendRSS(scheduler, nil))
 	g.AddLoadHint(scheduler, scheduler, 500) // own id never sits in the RSS
-	if got := len(g.RSS(scheduler)); got != sizeBefore {
+	if got := len(g.Gossip.AppendRSS(scheduler, nil)); got != sizeBefore {
 		t.Fatalf("hint inserted a record: RSS grew %d -> %d", sizeBefore, got)
 	}
 }
