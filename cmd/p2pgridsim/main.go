@@ -222,12 +222,61 @@ func (o options) arrivalSetup() (arrival.Spec, *traces.Trace, error) {
 	return sp.Arrival, sp.Trace, nil
 }
 
-// serveFlags are the flags that combine with -serve. The -serve help text
-// and the rejection of any other flag both read this one list.
-var serveFlags = map[string]bool{
-	"scale": true, "algo": true, "seed": true, "shards": true, "price": true,
-	"pace": true, "max-inflight": true,
-	"log-level": true, "log-format": true, "pprof": true,
+// modeFlags maps each flag that selects a mode other than running an
+// experiment to the flags that combine with it; checkFlagScopes rejects
+// any other flag instead of ignoring it. The daemon takes its workloads
+// over HTTP, a worker its whole configuration from the work directory,
+// and the cache GC runs nothing. The -serve help text reads its list here.
+var modeFlags = map[string]map[string]bool{
+	"serve": {
+		"scale": true, "algo": true, "seed": true, "shards": true, "price": true,
+		"pace": true, "max-inflight": true,
+		"log-level": true, "log-format": true, "pprof": true,
+	},
+	"worker":   {"sleep-per-job": true, "cache": true, "log-level": true, "log-format": true},
+	"cache-gc": {"cache": true, "cache-budget": true, "cache-days": true},
+}
+
+// sweepOnlyFlags configure -experiment sweep alone; every other
+// experiment rejects them. A mode's own list overrides this one (-worker
+// and -cache-gc take -cache).
+var sweepOnlyFlags = map[string]bool{
+	"axes": true, "out": true, "shard": true, "merge": true, "precision": true,
+	"coordinate": true, "cache": true, "obs": true,
+}
+
+// modeOnlyFlags maps the flags that only one mode reads to that mode.
+var modeOnlyFlags = map[string]string{
+	"pace": "serve", "max-inflight": "serve", "pprof": "serve",
+	"cache-budget": "cache-gc", "cache-days": "cache-gc",
+}
+
+// checkFlagScopes rejects a flag the selected mode or experiment would
+// ignore. A mode flag counts as selected when its value differs from its
+// default.
+func checkFlagScopes(fs *flag.FlagSet, setFlags []string, experiment string) error {
+	mode := ""
+	for _, f := range setFlags {
+		allowed := modeFlags[f]
+		if fl := fs.Lookup(f); allowed == nil || fl.Value.String() == fl.DefValue {
+			continue
+		}
+		for _, g := range setFlags {
+			if g != f && !allowed[g] {
+				return fmt.Errorf("-%s does not combine with -%s, which takes only %s", g, f, flagList(allowed))
+			}
+		}
+		mode = f
+	}
+	for _, f := range setFlags {
+		if m, ok := modeOnlyFlags[f]; ok && m != mode {
+			return fmt.Errorf("-%s only applies to -%s", f, m)
+		}
+		if mode == "" && sweepOnlyFlags[f] && experiment != "sweep" {
+			return fmt.Errorf("-%s only applies to -experiment sweep", f)
+		}
+	}
+	return nil
 }
 
 // flagList renders a flag set as "-a, -b, -c" in sorted order.
@@ -274,7 +323,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		cbudget = fs.Int64("cache-budget", 0, "cache GC size budget in MB, oldest-access entries dropped first (0 = no size bound)")
 		cdays   = fs.Float64("cache-days", 0, "cache GC max entry age in days (0 = no age bound)")
 		shards  = fs.Int("shards", 1, "parallel workers for each gossip cycle of a simulation (bit-identical results at any value)")
-		serve   = fs.String("serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API; combines only with "+flagList(serveFlags))
+		serve   = fs.String("serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API; combines only with "+flagList(modeFlags["serve"]))
 		pace    = fs.Float64("pace", 0, "wall-clock pacing for -serve: virtual seconds advanced per wall second (0 = deterministic virtual clock, advanced only via POST /v1/clock/advance)")
 		maxInf  = fs.Int("max-inflight", 256, "admission bound for -serve: submissions beyond this many unfinished workflows are shed with 429 + Retry-After")
 		arts    = fs.String("artifacts", "", "directory for CSV/DAT/gnuplot artifacts (series experiments, sweep)")
@@ -295,7 +344,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			fs.Args(), fs.Arg(0))
 		return 2
 	}
-	repsSet, sleepSet, ttlSet, paceSet, maxInfSet := false, false, false, false, false
+	repsSet, sleepSet, ttlSet := false, false, false
 	var setFlags []string
 	fs.Visit(func(f *flag.Flag) {
 		setFlags = append(setFlags, f.Name)
@@ -310,26 +359,11 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			sleepSet = true
 		case "lease-ttl":
 			ttlSet = true
-		case "pace":
-			paceSet = true
-		case "max-inflight":
-			maxInfSet = true
 		}
 	})
-	if *work != "" {
-		// Worker mode reads everything (spec, scale, reps, TTL) from the
-		// work directory; an experiment flag alongside -worker would be
-		// silently discarded, so reject the combination loudly.
-		allowed := map[string]bool{
-			"worker": true, "sleep-per-job": true, "cache": true,
-			"log-level": true, "log-format": true,
-		}
-		for _, f := range setFlags {
-			if !allowed[f] {
-				fmt.Fprintf(stderr, "p2pgridsim: -%s does not combine with -worker (workers take their entire configuration from the work directory; only -cache, -sleep-per-job and -log-level/-log-format apply)\n", f)
-				return 2
-			}
-		}
+	if err := checkFlagScopes(fs, setFlags, *name); err != nil {
+		fmt.Fprintln(stderr, "p2pgridsim:", err)
+		return 2
 	}
 	if sleepSet && *work == "" && *coord == "" {
 		fmt.Fprintln(stderr, "p2pgridsim: -sleep-per-job only applies to -worker or -coordinate")
@@ -343,26 +377,12 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "p2pgridsim: -worker and -coordinate are exclusive (the coordinator already participates as a worker)")
 		return 2
 	}
-	if *serve != "" {
-		// Service mode runs one grid forever; batch-experiment flags have
-		// nothing to configure there, so reject them loudly instead of
-		// silently ignoring them.
-		for _, f := range setFlags {
-			if f != "serve" && !serveFlags[f] {
-				fmt.Fprintf(stderr, "p2pgridsim: -%s does not combine with -serve (the daemon takes %s; workloads arrive over the HTTP API)\n", f, flagList(serveFlags))
-				return 2
-			}
-		}
-		if *pace < 0 {
-			fmt.Fprintf(stderr, "p2pgridsim: -pace must be non-negative, got %v\n", *pace)
-			return 2
-		}
-		if *maxInf < 1 {
-			fmt.Fprintf(stderr, "p2pgridsim: -max-inflight must be at least 1, got %d\n", *maxInf)
-			return 2
-		}
-	} else if paceSet || maxInfSet {
-		fmt.Fprintln(stderr, "p2pgridsim: -pace and -max-inflight only apply to -serve")
+	if *pace < 0 {
+		fmt.Fprintf(stderr, "p2pgridsim: -pace must be non-negative, got %v\n", *pace)
+		return 2
+	}
+	if *maxInf < 1 {
+		fmt.Fprintf(stderr, "p2pgridsim: -max-inflight must be at least 1, got %d\n", *maxInf)
 		return 2
 	}
 	if *lttl <= 0 {
@@ -381,10 +401,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "p2pgridsim: -trace-out and -gantt only apply to -experiment single (the daemon serves spans via GET /v1/workflows/{id}/trace)")
 		return 2
 	}
-	if *obsF && *name != "sweep" {
-		fmt.Fprintln(stderr, "p2pgridsim: -obs only applies to -experiment sweep")
-		return 2
-	}
 	if *logLvl != "" || *logFmt != "" {
 		if *serve == "" && *work == "" && *coord == "" {
 			fmt.Fprintln(stderr, "p2pgridsim: -log-level and -log-format only apply to -serve, -worker and -coordinate")
@@ -395,10 +411,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "p2pgridsim:", err)
 			return 2
 		}
-	}
-	if *pprofF && *serve == "" {
-		fmt.Fprintln(stderr, "p2pgridsim: -pprof only applies to -serve")
-		return 2
 	}
 
 	sc, err := experiments.ScaleByName(*scale)

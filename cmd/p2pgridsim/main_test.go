@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,14 +16,35 @@ import (
 
 // runCLI invokes cliMain with captured output.
 func runCLI(args ...string) (code int, stdout, stderr string) {
-	var out, errBuf bytes.Buffer
+	var out, errBuf syncBuffer
 	code = cliMain(args, &out, &errBuf)
 	return code, out.String(), errBuf.String()
 }
 
+// syncBuffer is a bytes.Buffer that takes the concurrent writes of a
+// daemon: its request handlers log while its main goroutine reports.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestErrorPathsExitNonZero pins the exit-code contract: every bad input
 // must fail loudly. The positional-argument case used to silently run the
-// default experiment and exit 0.
+// default experiment and exit 0, and so did the last three, which ran
+// while ignoring part of what was asked (TestFlagScopes pins their code
+// and message).
 func TestErrorPathsExitNonZero(t *testing.T) {
 	cases := []struct {
 		name string
@@ -72,6 +94,9 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 		{"coordinate with shard", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-coordinate", "c", "-shard", "0/2"}},
 		{"coordinate with precision", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-coordinate", "c", "-precision", "0.1"}},
 		{"coordinate with merge", []string{"-experiment", "sweep", "-merge", "a.json", "-coordinate", "c"}},
+		{"cache-gc with sweep flags", []string{"-cache-gc", "-cache", "d", "-cache-days", "1", "-experiment", "sweep", "-reps", "5", "-out", "x.json"}},
+		{"sweep flags on table1", []string{"-experiment", "table1", "-out", "t.json", "-shard", "0/2", "-coordinate", "c"}},
+		{"cache-budget without cache-gc", []string{"-experiment", "fig3", "-cache-budget", "5"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +108,35 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 				t.Fatalf("args %v failed silently", tc.args)
 			}
 		})
+	}
+}
+
+// TestFlagScopes pins the one flag-scope check: a flag the selected mode
+// or experiment would ignore exits 2 with a message naming it, and the
+// flags a mode does take still pass the check.
+func TestFlagScopes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cache-gc", "-cache", "d", "-cache-days", "1", "-experiment", "sweep", "-reps", "5", "-out", "x.json"},
+			"-experiment does not combine with -cache-gc, which takes only -cache, -cache-budget, -cache-days"},
+		{[]string{"-experiment", "table1", "-out", "t.json", "-shard", "0/2", "-coordinate", "c"},
+			"-coordinate only applies to -experiment sweep"},
+		{[]string{"-experiment", "fig3", "-cache-budget", "5"}, "-cache-budget only applies to -cache-gc"},
+		{[]string{"-experiment", "fig4-6", "-cache", "d"}, "-cache only applies to -experiment sweep"},
+		{[]string{"-worker", "w", "-axes", "algo"}, "-axes does not combine with -worker"},
+		{[]string{"-pace", "3"}, "-pace only applies to -serve"},
+	} {
+		code, _, stderr := runCLI(tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("args %v: exit %d, stderr %q; want exit 2 with %q", tc.args, code, stderr, tc.want)
+		}
+	}
+	// -cache is legal in worker mode: the run gets past the flag check and
+	// fails on the missing work directory instead (exit 1).
+	if code, _, stderr := runCLI("-worker", "/nonexistent-dir/work", "-cache", t.TempDir()); code != 1 {
+		t.Errorf("worker with -cache: exit %d, stderr %q; want 1", code, stderr)
 	}
 }
 

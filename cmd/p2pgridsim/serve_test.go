@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -45,9 +46,11 @@ func TestServeFlagValidation(t *testing.T) {
 	}
 }
 
-// TestServeLifecycle runs the daemon in-process: submit over HTTP, advance
-// the virtual clock, scrape metrics, then SIGTERM and require a clean
-// drain (exit 0).
+// TestServeLifecycle runs the daemon in-process: submit and replay over
+// HTTP, advance the virtual clock, scrape metrics, then SIGTERM and
+// require a clean drain (exit 0). The daemon is unpriced, so its economic
+// series must read zero, and it logs JSON, so every log line must parse
+// and the replay must leave an event.
 func TestServeLifecycle(t *testing.T) {
 	// A pre-bound listener would be cleaner, but the daemon owns its
 	// socket; pick a free port and race-free enough for a test.
@@ -63,7 +66,7 @@ func TestServeLifecycle(t *testing.T) {
 		stderr string
 	}, 1)
 	go func() {
-		code, _, stderr := runCLI("-serve", addr, "-scale", "tiny", "-seed", "7", "-max-inflight", "4")
+		code, _, stderr := runCLI("-serve", addr, "-scale", "tiny", "-seed", "7", "-max-inflight", "4", "-log-format", "json")
 		done <- struct {
 			code   int
 			stderr string
@@ -80,6 +83,14 @@ func TestServeLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	resp, err = http.Post(base+"/v1/workflows/replay", "application/json", strings.NewReader(`{"trace":"sample"}`))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("replay: status %d", resp.StatusCode)
 	}
 	resp, err = http.Post(base+"/v1/clock/advance", "application/json", strings.NewReader(`{"by_seconds": 7200}`))
 	if err != nil {
@@ -107,9 +118,24 @@ func TestServeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if got := resp.Header.Get("Content-Type"); !strings.HasPrefix(got, "text/plain") {
 		t.Fatalf("prometheus content type %q", got)
+	}
+	scrape := "\n" + string(body)
+	if !strings.Contains(scrape, "\np2pgrid_workflows_completed_total ") {
+		t.Fatalf("scrape lacks the completion counter:\n%s", body)
+	}
+	for _, name := range []string{
+		"p2pgrid_deadline_misses_total",
+		"p2pgrid_budget_violations_total",
+		"p2pgrid_sla_fallbacks_total",
+		"p2pgrid_spend_total",
+	} {
+		if !strings.Contains(scrape, "\n"+name+" 0\n") {
+			t.Errorf("unpriced daemon: %s does not read 0:\n%s", name, body)
+		}
 	}
 
 	// SIGTERM → graceful drain → exit 0. The handler is registered by
@@ -124,6 +150,27 @@ func TestServeLifecycle(t *testing.T) {
 		}
 		if !strings.Contains(r.stderr, "drained") {
 			t.Fatalf("no drain report in stderr:\n%s", r.stderr)
+		}
+		// The banner and the drain report are plain lines; every slog
+		// line is one JSON object with a message.
+		var events, replays int
+		for _, line := range strings.Split(r.stderr, "\n") {
+			if !strings.HasPrefix(line, "{") {
+				continue
+			}
+			var ev struct {
+				Msg string `json:"msg"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Msg == "" {
+				t.Fatalf("log line is not a JSON event with a msg (%v): %s", err, line)
+			}
+			events++
+			if strings.Contains(ev.Msg, "replay") {
+				replays++
+			}
+		}
+		if events == 0 || replays == 0 {
+			t.Fatalf("%d JSON log events, %d about the replay; want both > 0:\n%s", events, replays, r.stderr)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("daemon did not drain within 30s of SIGTERM")

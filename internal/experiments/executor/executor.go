@@ -1,14 +1,17 @@
 // Package executor provides the pluggable execution backends behind the
-// experiments streaming runner: a bounded local worker pool (Local), a
-// job-range filter for sharding a sweep across machines (Shard), and the
-// byte-level stores behind the warm-start result cache (Disk, Memory).
+// experiments streaming runner: a bounded local worker pool (Local), the
+// job-range split of a sweep across machines (ShardRange), the
+// work-stealing coordinator's directory protocol, and the byte-level
+// stores behind the warm-start result cache (Disk, Memory).
 //
 // The package is deliberately generic: a job is a dense global integer ID
-// and the runner supplies the function that executes one. That keeps the
-// execution policy (how many workers, which subset of the matrix) fully
-// separated from the experiment semantics (what a job simulates and how
-// its result aggregates), and it keeps this package free of any dependency
-// on the experiments types.
+// and the runner supplies the function that executes one. The runner
+// decides which IDs run (a whole sweep, a shard, a coordinator's cell, an
+// adaptive round) and an executor decides how (how many workers, what to
+// do around each job). That keeps the execution policy fully separated
+// from the experiment semantics (what a job simulates and how its result
+// aggregates), and it keeps this package free of any dependency on the
+// experiments types.
 package executor
 
 import (
@@ -16,12 +19,10 @@ import (
 	"sync"
 )
 
-// Executor runs a set of jobs identified by global job IDs. Execute calls
-// run once per job it executes; run must be safe for concurrent calls.
-// Implementations may execute only a declared subset of the given IDs
-// (Shard does), but must never invent IDs that were not passed in. Every
-// scheduled job runs even after another job fails; the first error is
-// returned.
+// Executor runs a set of jobs identified by global job IDs. Execute runs
+// every ID it is given, calling run exactly once per ID, and never invents
+// IDs; run must be safe for concurrent calls. Every job runs even after
+// another job fails; the first error is returned.
 type Executor interface {
 	Execute(ids []int, run func(id int) error) error
 }
@@ -63,31 +64,6 @@ func (l Local) Execute(ids []int, run func(id int) error) error {
 		}
 	}
 	return nil
-}
-
-// Shard executes only the jobs that fall inside the [Lo,Hi) global job-ID
-// range, delegating them to Inner. Sharding by ID range over the sweep's
-// deterministic expansion order is what makes a distributed sweep safe:
-// every worker derives the same job list from the same spec, so disjoint
-// ranges partition the matrix with no coordination.
-type Shard struct {
-	Lo, Hi int
-	Inner  Executor // nil means Local{}
-}
-
-// Execute filters ids to [Lo,Hi) and runs the survivors on Inner.
-func (s Shard) Execute(ids []int, run func(id int) error) error {
-	mine := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if id >= s.Lo && id < s.Hi {
-			mine = append(mine, id)
-		}
-	}
-	inner := s.Inner
-	if inner == nil {
-		inner = Local{}
-	}
-	return inner.Execute(mine, run)
 }
 
 // ShardRange returns the [lo,hi) job-ID range of shard i of n over a

@@ -57,38 +57,6 @@ func TestLocalZeroWorkersDefaults(t *testing.T) {
 	}
 }
 
-func TestShardFilters(t *testing.T) {
-	var mu sync.Mutex
-	var ran []int
-	err := Shard{Lo: 3, Hi: 6, Inner: Local{Workers: 1}}.Execute(
-		[]int{0, 3, 4, 5, 6, 9},
-		func(id int) error {
-			mu.Lock()
-			ran = append(ran, id)
-			mu.Unlock()
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ran) != 3 {
-		t.Fatalf("shard ran %v, want exactly the ids in [3,6)", ran)
-	}
-	for _, id := range ran {
-		if id < 3 || id >= 6 {
-			t.Fatalf("shard ran out-of-range job %d", id)
-		}
-	}
-}
-
-func TestShardNilInnerDefaultsToLocal(t *testing.T) {
-	ran := false
-	err := Shard{Lo: 0, Hi: 1}.Execute([]int{0}, func(int) error { ran = true; return nil })
-	if err != nil || !ran {
-		t.Fatalf("err=%v ran=%v", err, ran)
-	}
-}
-
 // TestShardRangePartitions pins the sharding contract: for any (total, n)
 // the n ranges are contiguous, non-overlapping, cover exactly [0,total),
 // and differ in size by at most one job.

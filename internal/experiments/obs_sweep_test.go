@@ -77,8 +77,8 @@ func TestSweepObsDeterministic(t *testing.T) {
 // on Setting are excluded from every JSON-derived identity (cell-cache
 // keys, spec hashes, shard partials): a Setting marshals to the same
 // bytes with and without a tracer and metrics sink attached. The cell key
-// itself is additionally pinned as a pure function of (spec, scenario,
-// algo) via the plan.
+// itself is additionally pinned as independent of the replication count,
+// which is what lets a higher-Reps plan extend a cached prefix.
 func TestSettingObservationFieldsInvisible(t *testing.T) {
 	plan, err := newSweepPlan(microSpec([]string{"DSMF"}, 1, 5))
 	if err != nil {
@@ -98,7 +98,11 @@ func TestSettingObservationFieldsInvisible(t *testing.T) {
 	if !bytes.Equal(plain, decorated) {
 		t.Fatalf("observation fields leak into Setting JSON:\n%s\n%s", plain, decorated)
 	}
-	if plan.cellKey(0) != cellKeyFor(plan.spec, plan.scens[0], "DSMF") {
-		t.Fatal("cell key is not a pure function of (spec, scenario, algo)")
+	wider, err := newSweepPlan(microSpec([]string{"DSMF"}, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.cellKey(0) != wider.cellKey(0) {
+		t.Fatal("cell key depends on the replication count")
 	}
 }

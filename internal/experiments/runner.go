@@ -18,15 +18,18 @@ import (
 
 // This file is the streaming runner: the execution half of the sweep API.
 // A normalized spec expands into a deterministic job matrix (sweep.go);
-// here jobs run behind the pluggable executor.Executor interface, each
-// (scenario, algorithm) cell is finalized and aggregated the moment its
-// last replication lands (CellObserver), per-run Results are dropped
+// runMatrix runs a set of its job IDs behind the pluggable
+// executor.Executor interface and is the only code that hands jobs to an
+// executor. A plain sweep is every ID, a shard (RunShard) or coordinator
+// work unit (RunCellUnit) an ID range, and each round of the adaptive
+// driver (RunAdaptiveCells) the IDs of its open cells. Each (scenario,
+// algorithm) cell is finalized and aggregated the moment its last
+// replication lands (CellObserver), per-run Results are dropped
 // immediately unless the caller opts into retention, topologies are built
 // lazily per (scale, replication) pair and released when the pair's last
 // job completes, and a content-addressed cell cache lets a re-run with one
-// changed axis execute only the missing cells. RunShard/MergeShards split
-// the same matrix across machines by job-ID range and reassemble partials
-// into a SweepResult that is byte-identical to a single-host run.
+// changed axis execute only the missing cells. MergeShards reassembles
+// partials into a SweepResult that is byte-identical to a single-host run.
 
 // CellObserver receives each finalized cell as soon as its last
 // replication lands. Calls are serialized by the runner but arrive in
@@ -39,8 +42,8 @@ type CellObserver func(*Cell)
 // whole matrix on the local bounded pool with no cache, no observer and no
 // run retention.
 type RunOptions struct {
-	// Executor runs the job matrix; nil means executor.Local{} (a bounded
-	// pool of GOMAXPROCS workers).
+	// Executor runs the jobs the runner hands it and must run every one;
+	// nil means executor.Local{} (a bounded pool of GOMAXPROCS workers).
 	Executor executor.Executor
 
 	// Cache, when non-nil, memoizes finalized cells by content hash: a
@@ -52,7 +55,9 @@ type RunOptions struct {
 	Observer CellObserver
 
 	// Progress is invoked serially after every accounted job (executed or
-	// cache-restored) with the running done count and the matrix total.
+	// cache-restored) with the running done count and the number of jobs
+	// the call accounts for: the whole matrix for a sweep, the range for a
+	// shard or cell unit, one round's jobs for the adaptive driver.
 	Progress func(done, total int)
 
 	// RetainRuns keeps every full per-run Result on its cell. Off by
@@ -73,17 +78,16 @@ type RunOptions struct {
 	// observation entirely and the sweep artifact is byte-identical to
 	// pre-observability output. Cache-restored replications carry no
 	// observations (the cell cache schema predates them), and the
-	// adaptive drivers ignore Obs like they ignore RetainRuns, so the
+	// adaptive driver ignores Obs like it ignores RetainRuns, so the
 	// flag is for plain single-host sweeps.
 	Obs bool
 }
 
-// sweepPlan is a normalized, validated spec with its expansion
-// precomputed: the pure-data side every runner entry point shares.
+// sweepPlan is a normalized, validated spec with its scenario axes
+// expanded: the pure-data side every runner entry point shares.
 type sweepPlan struct {
-	spec      SweepSpec // normalized
-	scens     []Scenario
-	pairSeeds map[pairKey]int64
+	spec  SweepSpec // normalized
+	scens []Scenario
 }
 
 func newSweepPlan(spec SweepSpec) (*sweepPlan, error) {
@@ -91,17 +95,7 @@ func newSweepPlan(spec SweepSpec) (*sweepPlan, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	p := &sweepPlan{
-		spec:      spec,
-		scens:     spec.Scenarios(),
-		pairSeeds: make(map[pairKey]int64, len(spec.Scales)*spec.Reps),
-	}
-	for si := range spec.Scales {
-		for r := 0; r < spec.Reps; r++ {
-			p.pairSeeds[pairKey{si, r}] = sweepSeed(spec.Seed, si, r)
-		}
-	}
-	return p, nil
+	return &sweepPlan{spec: spec, scens: spec.Scenarios()}, nil
 }
 
 func (p *sweepPlan) numCells() int { return len(p.scens) * len(p.spec.Algorithms) }
@@ -118,7 +112,7 @@ func (p *sweepPlan) job(id int) SweepJob {
 		Scenario: sc,
 		Algo:     p.spec.Algorithms[cell%len(p.spec.Algorithms)],
 		Rep:      rep,
-		Seed:     p.pairSeeds[pairKey{sc.ScaleIndex, rep}],
+		Seed:     sweepSeed(p.spec.Seed, sc.ScaleIndex, rep),
 	}
 }
 
@@ -127,7 +121,7 @@ func (p *sweepPlan) cellSeeds(cell int) []int64 {
 	sc := p.scens[cell/len(p.spec.Algorithms)]
 	seeds := make([]int64, p.spec.Reps)
 	for r := range seeds {
-		seeds[r] = p.pairSeeds[pairKey{sc.ScaleIndex, r}]
+		seeds[r] = sweepSeed(p.spec.Seed, sc.ScaleIndex, r)
 	}
 	return seeds
 }
@@ -138,24 +132,17 @@ func (p *sweepPlan) cellSeeds(cell int) []int64 {
 // and the spec-level switches. The replication count is deliberately
 // excluded: rep seeds are a pure function of (root, scale index, rep), so
 // a higher-Reps run extends a cached prefix instead of missing it, which
-// is what adaptive replication batches rely on.
+// is what the adaptive driver's rounds rely on.
 func (p *sweepPlan) cellKey(cell int) string {
 	sc := p.scens[cell/len(p.spec.Algorithms)]
-	return cellKeyFor(p.spec, sc, p.spec.Algorithms[cell%len(p.spec.Algorithms)])
-}
-
-// cellKeyFor computes the cache key of one cell from a normalized spec:
-// the shared implementation behind sweepPlan.cellKey and the per-cell
-// adaptive driver (which sizes cells dynamically and so never builds a
-// fixed-Reps plan).
-func cellKeyFor(spec SweepSpec, sc Scenario, algo string) string {
+	algo := p.spec.Algorithms[cell%len(p.spec.Algorithms)]
 	doc := struct {
 		Version    string
 		RootSeed   int64
 		Scenario   Scenario
 		Reschedule bool
 		Algo       string
-	}{CodeVersion, spec.Seed, sc, spec.Reschedule, algo}
+	}{CodeVersion, p.spec.Seed, sc, p.spec.Reschedule, algo}
 	data, err := json.Marshal(doc)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: cell key: %v", err)) // plain data, cannot fail
@@ -210,11 +197,11 @@ type pairNet struct {
 
 // cellState tracks one cell mid-flight.
 type cellState struct {
-	acc       *metrics.CellAccumulator
-	runs      []Result           // populated only under RetainRuns
-	obs       []*obs.GridMetrics // per-replication metrics, only under Obs
-	cachedLen int                // replication count of the cache entry we loaded
-	final     *Cell              // set on finalization
+	acc       *metrics.CellAccumulator // nil until the cell's first ID comes up
+	runs      []Result                 // populated only under RetainRuns
+	obs       []*obs.GridMetrics       // per-replication metrics, only under Obs
+	cachedLen int                      // replication count of the cache entry we loaded
+	final     *Cell                    // set on finalization
 }
 
 // sweepState is one streaming execution in progress.
@@ -226,70 +213,41 @@ type sweepState struct {
 	cells []cellState
 	pairs map[pairKey]*pairNet
 	done  int
+	total int // jobs this run accounts for: the IDs it was given
 }
 
-// runMatrix executes the [lo,hi) job-ID window of the plan: the shared
-// engine behind RunSweepStream (full window) and RunShard/RunCellUnit
-// (partial). Cache hits are restored first — but only for cells that
-// intersect the window: a per-cell work unit probing every cell of a
-// paper-scale sweep would turn a cache-backed worker quadratic in cell
-// count. Only missing in-window jobs execute.
-func runMatrix(plan *sweepPlan, opts RunOptions, lo, hi int) (*sweepState, error) {
+// runMatrix runs the given job IDs of the plan, in increasing order: every
+// ID for RunSweepStream, an ID range for RunShard and RunCellUnit, the open
+// cells' IDs for each round of RunAdaptiveCells. It is the only code that
+// hands jobs to an executor. A cell opens, and its cache entry is
+// restored, when its first ID comes up, so a per-cell work unit never
+// probes the cache for the sweep's other cells (that would make a
+// cache-backed worker quadratic in cell count). Only the IDs the cache
+// lacks execute; Progress counts all the given IDs, restored ones included.
+func runMatrix(plan *sweepPlan, opts RunOptions, ids []int) (*sweepState, error) {
 	st := &sweepState{
 		plan:  plan,
 		opts:  opts,
 		cells: make([]cellState, plan.numCells()),
-		pairs: make(map[pairKey]*pairNet, len(plan.pairSeeds)),
+		pairs: make(map[pairKey]*pairNet),
+		total: len(ids),
 	}
-	reps := plan.spec.Reps
-	total := plan.numJobs()
-	cellLo, cellHi := lo/reps, (hi+reps-1)/reps // cells intersecting [lo,hi)
-
-	// Cache pass: restore every in-window hit, finalize fully-cached cells.
-	for c := range st.cells {
-		cs := &st.cells[c]
-		cs.acc = metrics.NewCellAccumulator(reps)
-		if opts.RetainRuns {
-			cs.runs = make([]Result, reps)
-		}
-		if opts.Obs {
-			cs.obs = make([]*obs.GridMetrics, reps)
-		}
-		if opts.Cache == nil || c < cellLo || c >= cellHi {
-			continue
-		}
-		cached := loadCellStats(opts.Cache, plan.cellKey(c))
-		if cached == nil {
-			continue
-		}
-		cs.cachedLen = len(cached)
-		for r := 0; r < len(cached) && r < reps; r++ {
-			if err := cs.acc.Add(r, cached[r]); err != nil {
+	// Schedule the missing jobs and count them per pair so each pair's
+	// topology can be released the moment its last job finishes.
+	var run []int
+	for _, id := range ids {
+		j := plan.job(id)
+		cs := &st.cells[j.Cell]
+		if cs.acc == nil {
+			if err := st.openCell(j.Cell); err != nil {
 				return nil, err
 			}
-			st.done++
 		}
-		if cs.acc.Done() {
-			if toStore := st.finalizeCellLocked(c); toStore != nil {
-				if err := storeCellStats(opts.Cache, plan.cellKey(c), toStore.Stats); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if st.done > 0 && opts.Progress != nil {
-		opts.Progress(st.done, total)
-	}
-
-	// Schedule the missing in-window jobs and count them per pair so each
-	// pair's topology can be released the moment its last job finishes.
-	var ids []int
-	for id := lo; id < hi; id++ {
-		j := plan.job(id)
-		if st.cells[j.Cell].acc.Has(j.Rep) {
+		if cs.acc.Has(j.Rep) {
+			st.done++ // restored from the cache
 			continue
 		}
-		ids = append(ids, id)
+		run = append(run, id)
 		pk := pairKey{j.Scenario.ScaleIndex, j.Rep}
 		pn := st.pairs[pk]
 		if pn == nil {
@@ -298,45 +256,71 @@ func runMatrix(plan *sweepPlan, opts RunOptions, lo, hi int) (*sweepState, error
 		}
 		pn.pending++
 	}
-	if len(ids) == 0 {
+	if st.done > 0 && opts.Progress != nil {
+		opts.Progress(st.done, st.total)
+	}
+	if len(run) == 0 {
 		return st, nil
 	}
 	exec := opts.Executor
 	if exec == nil {
 		exec = executor.Local{}
 	}
-	if lo > 0 || hi < total {
-		// Belt and braces for shard windows: whatever executor the caller
-		// supplied must not run out-of-window jobs.
-		exec = executor.Shard{Lo: lo, Hi: hi, Inner: exec}
-	}
-	if err := exec.Execute(ids, st.runJob); err != nil {
+	if err := exec.Execute(run, st.runJob); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// executeSweepJob simulates one replication of one cell: build-or-reuse
-// the pair's shared topology (first caller generates it), run the
-// algorithm, and reduce the outcome. It is the single simulate-and-reduce
-// sequence behind both the fixed-matrix runner (runJob) and the per-cell
-// adaptive driver; the full Result is returned alongside the reduced
-// record for callers that retain runs.
-func executeSweepJob(sc Scenario, algo string, rep int, seed int64, reschedule bool, shards int, observe bool, pn *pairNet) (metrics.RunStats, Result, error) {
+// openCell prepares cell c and restores its cached replications, finalizing
+// the cell when the cache holds all of them (its entry then needs no
+// rewrite). runMatrix calls it before any job runs, so no lock is needed.
+func (st *sweepState) openCell(c int) error {
+	reps := st.plan.spec.Reps
+	cs := &st.cells[c]
+	cs.acc = metrics.NewCellAccumulator(reps)
+	if st.opts.RetainRuns {
+		cs.runs = make([]Result, reps)
+	}
+	if st.opts.Obs {
+		cs.obs = make([]*obs.GridMetrics, reps)
+	}
+	if st.opts.Cache == nil {
+		return nil
+	}
+	cached := loadCellStats(st.opts.Cache, st.plan.cellKey(c))
+	cs.cachedLen = len(cached)
+	for r := 0; r < len(cached) && r < reps; r++ {
+		if err := cs.acc.Add(r, cached[r]); err != nil {
+			return err
+		}
+	}
+	if cs.acc.Done() {
+		st.finalizeCellLocked(c)
+	}
+	return nil
+}
+
+// executeSweepJob simulates one job: build-or-reuse the pair's shared
+// topology (first caller generates it), run the algorithm, and reduce the
+// outcome. The full Result is returned alongside the reduced record for
+// callers that retain runs.
+func (st *sweepState) executeSweepJob(j SweepJob, pn *pairNet) (metrics.RunStats, Result, error) {
+	sc := j.Scenario
 	pn.once.Do(func() {
-		pn.net, pn.err = topology.Generate(topoConfig(sc.Scale.Nodes, seed))
+		pn.net, pn.err = topology.Generate(topoConfig(sc.Scale.Nodes, j.Seed))
 	})
 	if pn.err != nil {
 		return metrics.RunStats{}, Result{}, fmt.Errorf("experiments: sweep topology (scale %s, rep %d): %w",
-			sc.Scale.Name, rep, pn.err)
+			sc.Scale.Name, j.Rep, pn.err)
 	}
-	a, err := heuristics.ByName(algo)
+	a, err := heuristics.ByName(j.Algo)
 	if err != nil {
 		return metrics.RunStats{}, Result{}, err // unreachable after validate; belt and braces
 	}
-	setting := sc.setting(seed, pn.net, reschedule)
-	setting.Shards = shards
-	if observe {
+	setting := sc.setting(j.Seed, pn.net, st.plan.spec.Reschedule)
+	setting.Shards = st.opts.Shards
+	if st.opts.Obs {
 		// The collected metrics travel back on the returned Result's
 		// Setting (Run copies the setting verbatim), so no extra return
 		// threads through the executor plumbing.
@@ -357,7 +341,7 @@ func (st *sweepState) runJob(id int) error {
 	st.mu.Lock()
 	pn := st.pairs[pk]
 	st.mu.Unlock()
-	sts, res, err := executeSweepJob(j.Scenario, j.Algo, j.Rep, j.Seed, st.plan.spec.Reschedule, st.opts.Shards, st.opts.Obs, pn)
+	sts, res, err := st.executeSweepJob(j, pn)
 	if err != nil {
 		return err
 	}
@@ -376,7 +360,7 @@ func (st *sweepState) runJob(id int) error {
 	}
 	st.done++
 	if st.opts.Progress != nil {
-		st.opts.Progress(st.done, st.plan.numJobs())
+		st.opts.Progress(st.done, st.total)
 	}
 	var toStore *Cell
 	if cs.acc.Done() {
@@ -397,8 +381,8 @@ func (st *sweepState) runJob(id int) error {
 
 // finalizeCellLocked aggregates a completed cell and streams it to the
 // observer, returning the cell if the caller should persist it to the
-// cache. Caller holds st.mu (or is still single-goroutine in the cache
-// pass), which serializes observer calls; the cache write itself happens
+// cache. Caller holds st.mu (or is still single-goroutine in openCell),
+// which serializes observer calls; the cache write itself happens
 // outside the lock so disk latency never stalls the worker pool.
 func (st *sweepState) finalizeCellLocked(c int) (toStore *Cell) {
 	cs := &st.cells[c]
@@ -435,18 +419,38 @@ func (st *sweepState) finalizeCellLocked(c int) (toStore *Cell) {
 	return nil
 }
 
+// final returns finalized cell c, or an error if some of its given IDs
+// never ran: an executor must run every ID it is given.
+func (st *sweepState) final(c int) (*Cell, error) {
+	cs := &st.cells[c]
+	if cs.final == nil {
+		return nil, fmt.Errorf("experiments: cell %d incomplete (%d/%d replications) — executor did not run every job it was given",
+			c, cs.acc.Count(), st.plan.spec.Reps)
+	}
+	return cs.final, nil
+}
+
 // result assembles the finalized cells into a SweepResult.
 func (st *sweepState) result() (*SweepResult, error) {
 	res := &SweepResult{Spec: st.plan.spec, Scenarios: st.plan.scens}
 	res.Cells = make([]Cell, len(st.cells))
 	for c := range st.cells {
-		if st.cells[c].final == nil {
-			return nil, fmt.Errorf("experiments: cell %d incomplete (%d/%d replications) — executor did not cover the full job matrix",
-				c, st.cells[c].acc.Count(), st.plan.spec.Reps)
+		cell, err := st.final(c)
+		if err != nil {
+			return nil, err
 		}
-		res.Cells[c] = *st.cells[c].final
+		res.Cells[c] = *cell
 	}
 	return res, nil
+}
+
+// idRange returns the job IDs [lo,hi).
+func idRange(lo, hi int) []int {
+	ids := make([]int, hi-lo)
+	for i := range ids {
+		ids[i] = lo + i
+	}
+	return ids
 }
 
 // RunSweepStream executes the full job matrix through the streaming
@@ -460,7 +464,7 @@ func RunSweepStream(spec SweepSpec, opts RunOptions) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := runMatrix(plan, opts, 0, plan.numJobs())
+	st, err := runMatrix(plan, opts, idRange(0, plan.numJobs()))
 	if err != nil {
 		return nil, err
 	}
@@ -505,9 +509,7 @@ func (s *ShardResult) jobID(i int) int {
 
 // RunShard executes only shard `shard` of `shards` over the spec's job
 // matrix: the [lo,hi) ID range of the canonical enumeration, as split by
-// executor.ShardRange. Cells that complete entirely inside the window
-// still finalize (observer and cache fire); boundary cells stay partial
-// and are completed by MergeShards.
+// executor.ShardRange.
 func RunShard(spec SweepSpec, shard, shards int, opts RunOptions) (*ShardResult, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("experiments: shard %d/%d invalid (want 0 <= shard < shards)", shard, shards)
@@ -516,9 +518,16 @@ func RunShard(spec SweepSpec, shard, shards int, opts RunOptions) (*ShardResult,
 	if err != nil {
 		return nil, err
 	}
-	total := plan.numJobs()
-	lo, hi := executor.ShardRange(total, shard, shards)
-	st, err := runMatrix(plan, opts, lo, hi)
+	lo, hi := executor.ShardRange(plan.numJobs(), shard, shards)
+	return runRange(plan, opts, lo, hi)
+}
+
+// runRange runs the job IDs [lo,hi) of the plan and returns their records
+// as a mergeable partial: the body RunShard and RunCellUnit share. Cells
+// that complete inside the range still finalize (observer and cache fire);
+// the others stay partial and are completed by MergeShards.
+func runRange(plan *sweepPlan, opts RunOptions, lo, hi int) (*ShardResult, error) {
+	st, err := runMatrix(plan, opts, idRange(lo, hi))
 	if err != nil {
 		return nil, err
 	}
@@ -527,14 +536,14 @@ func RunShard(spec SweepSpec, shard, shards int, opts RunOptions) (*ShardResult,
 		Hash:  plan.spec.SpecHash(),
 		Lo:    lo,
 		Hi:    hi,
-		Jobs:  total,
+		Jobs:  plan.numJobs(),
 		Stats: make([]metrics.RunStats, hi-lo),
 	}
 	for id := lo; id < hi; id++ {
 		j := plan.job(id)
 		sts, ok := st.cells[j.Cell].acc.Get(j.Rep)
 		if !ok {
-			return nil, fmt.Errorf("experiments: shard job %d missing after execution", id)
+			return nil, fmt.Errorf("experiments: job %d (cell %d, replication %d) missing after execution", id, j.Cell, j.Rep)
 		}
 		out.Stats[id-lo] = sts
 	}
@@ -721,27 +730,7 @@ func RunCellUnit(spec SweepSpec, cell int, opts RunOptions) (*ShardResult, error
 		return nil, fmt.Errorf("experiments: cell %d outside [0,%d)", cell, plan.numCells())
 	}
 	reps := plan.spec.Reps
-	lo, hi := cell*reps, (cell+1)*reps
-	st, err := runMatrix(plan, opts, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	out := &ShardResult{
-		Spec:  plan.spec,
-		Hash:  plan.spec.SpecHash(),
-		Lo:    lo,
-		Hi:    hi,
-		Jobs:  plan.numJobs(),
-		Stats: make([]metrics.RunStats, hi-lo),
-	}
-	for id := lo; id < hi; id++ {
-		sts, ok := st.cells[cell].acc.Get(id - lo)
-		if !ok {
-			return nil, fmt.Errorf("experiments: cell %d replication %d missing after execution", cell, id-lo)
-		}
-		out.Stats[id-lo] = sts
-	}
-	return out, nil
+	return runRange(plan, opts, cell*reps, (cell+1)*reps)
 }
 
 // adaptiveRepFloor is the smallest replication count the per-cell stopper
@@ -752,32 +741,39 @@ const adaptiveRepFloor = 3
 // adaptiveRepCeiling bounds an uncapped adaptive run. A cell that has not
 // met any sane precision target after this many replications is pinned by
 // structural variance, not sampling noise; the ceiling turns a hypothetical
-// infinite loop into a finished (if wide) estimate.
+// infinite loop into a finished (if wide) estimate. SweepSpec.validate
+// holds every spec to the same bound, so both drivers share it.
 const adaptiveRepCeiling = 1 << 14
 
 // RunAdaptiveCells grows every cell's replication count independently
 // until that cell's ACT 95% confidence half-width is at most precision ×
-// |mean ACT|: per-cell sequential stopping. Cells start at
-// adaptiveRepFloor replications and double until they converge or hit
-// maxReps (non-positive maxReps means uncapped, bounded only by
-// adaptiveRepCeiling), so a sweep stops spending seeds on already-tight
-// cells while a high-variance cell keeps sampling.
+// |mean ACT|: per-cell sequential stopping. It runs in rounds on
+// runMatrix. Every open cell has the same target, which starts at
+// adaptiveRepFloor replications (maxReps if that is smaller) and doubles
+// each round, so a round is one fixed-Reps plan over the open cells' job
+// IDs. After a round, converged cells and cells at maxReps close
+// (non-positive maxReps means uncapped, bounded only by
+// adaptiveRepCeiling); the rest go on to the next round. A sweep thus
+// stops spending seeds on already-tight cells while a high-variance cell
+// keeps sampling.
 //
 // The result is ragged: each cell carries exactly the replications it
 // needed (Spec.Reps reports the largest cell), which the sweep JSON
-// records per cell (the uniform case stays byte-identical). Batches reuse
-// work through the cell cache — opts.Cache when provided, otherwise a
-// process-local memory cache — and a warm re-run replays cached
-// replications in place of executing them, so cold and warm runs produce
-// identical results. opts.RetainRuns is not supported here (the driver
-// never holds full Results) and is ignored; opts.Executor must execute
-// every id it is given (do not pass executor.Shard).
+// records per cell (the uniform case stays byte-identical). The cell
+// cache carries earlier rounds' replications forward — opts.Cache when
+// provided, otherwise a process-local memory cache — so a round executes
+// only its added replications and rewrites the entry of each cell it
+// grows. A warm re-run replays cached replications in place of executing
+// them, so cold and warm runs produce identical results. Inside rounds
+// the observer, opts.RetainRuns and opts.Obs stay off (the driver never
+// holds full Results); opts.Observer fires once per cell at the end, in
+// cell order, and opts.Progress counts each round's jobs.
 func RunAdaptiveCells(spec SweepSpec, precision float64, maxReps int, opts RunOptions) (*SweepResult, error) {
 	if precision <= 0 {
 		return nil, fmt.Errorf("experiments: adaptive precision must be positive, got %v", precision)
 	}
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	plan, err := newSweepPlan(spec)
+	if err != nil {
 		return nil, err
 	}
 	if maxReps <= 0 || maxReps > adaptiveRepCeiling {
@@ -786,177 +782,48 @@ func RunAdaptiveCells(spec SweepSpec, precision float64, maxReps int, opts RunOp
 	if opts.Cache == nil {
 		opts.Cache = executor.NewMemory()
 	}
-	exec := opts.Executor
-	if exec == nil {
-		exec = executor.Local{}
-	}
+	observer := opts.Observer
+	opts.Observer, opts.RetainRuns, opts.Obs = nil, false, false
 
-	scens := spec.Scenarios()
-	algos := spec.Algorithms
-	type cellRun struct {
-		acc       *metrics.CellAccumulator
-		key       string
-		target    int  // replications this cell should reach next
-		stopped   bool // converged or capped: no further issuance
-		probed    bool // cache probed
-		cached    []metrics.RunStats
-		cachedLen int // cache-entry length at probe time
-	}
-	cells := make([]cellRun, len(scens)*len(algos))
-	start := adaptiveRepFloor
-	if start > maxReps {
-		start = maxReps
-	}
-	for c := range cells {
-		cells[c] = cellRun{
-			acc:    metrics.NewCellAccumulator(0),
-			key:    cellKeyFor(spec, scens[c/len(algos)], algos[c%len(algos)]),
-			target: start,
-		}
-	}
-
-	type pendJob struct {
-		cell, rep int
-		seed      int64
-	}
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	for {
-		// Issue the missing replications of every open cell, replaying
-		// cached records instead of executing where the cache has them (a
-		// warm adaptive run is bit-identical to its cold ancestor).
-		var pend []pendJob
-		pairs := make(map[pairKey]*pairNet)
-		for c := range cells {
-			cr := &cells[c]
-			if cr.stopped {
-				continue
-			}
-			cr.acc.Grow(cr.target)
-			if !cr.probed {
-				cr.probed = true
-				cr.cached = loadCellStats(opts.Cache, cr.key)
-				cr.cachedLen = len(cr.cached)
-			}
-			sc := scens[c/len(algos)]
-			for r := 0; r < cr.target; r++ {
-				if cr.acc.Has(r) {
-					continue
-				}
-				if r < len(cr.cached) {
-					if err := cr.acc.Add(r, cr.cached[r]); err != nil {
-						return nil, err
-					}
-					done++
-					continue
-				}
-				pend = append(pend, pendJob{cell: c, rep: r, seed: sweepSeed(spec.Seed, sc.ScaleIndex, r)})
-				pk := pairKey{sc.ScaleIndex, r}
-				pn := pairs[pk]
-				if pn == nil {
-					pn = &pairNet{}
-					pairs[pk] = pn
-				}
-				pn.pending++
+	cells := make([]*Cell, plan.numCells())
+	open := idRange(0, len(cells))
+	for target := min(adaptiveRepFloor, maxReps); len(open) > 0; target = min(2*target, maxReps) {
+		round := &sweepPlan{spec: plan.spec, scens: plan.scens}
+		round.spec.Reps = target
+		ids := make([]int, 0, len(open)*target)
+		for _, c := range open {
+			for r := 0; r < target; r++ {
+				ids = append(ids, c*target+r)
 			}
 		}
-		if len(pend) > 0 {
-			ids := make([]int, len(pend))
-			for i := range ids {
-				ids[i] = i
-			}
-			issued := done + len(pend)
-			if err := exec.Execute(ids, func(i int) error {
-				j := pend[i]
-				sc := scens[j.cell/len(algos)]
-				pk := pairKey{sc.ScaleIndex, j.rep}
-				mu.Lock()
-				pn := pairs[pk]
-				mu.Unlock()
-				sts, _, err := executeSweepJob(sc, algos[j.cell%len(algos)], j.rep, j.seed, spec.Reschedule, opts.Shards, false, pn)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if err := cells[j.cell].acc.Add(j.rep, sts); err != nil {
-					return err
-				}
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, issued)
-				}
-				pn.pending--
-				if pn.pending == 0 {
-					pn.net = nil
-				}
-				return nil
-			}); err != nil {
+		st, err := runMatrix(round, opts, ids)
+		if err != nil {
+			return nil, err
+		}
+		next := open[:0]
+		for _, c := range open {
+			cell, err := st.final(c)
+			if err != nil {
 				return nil, err
 			}
-		}
-
-		// Stopping rule, per cell: converged (CI ≤ precision·|mean| at ≥
-		// the floor) or capped cells finalize; the rest double their target.
-		open := 0
-		for c := range cells {
-			cr := &cells[c]
-			if cr.stopped {
-				continue
-			}
-			agg := cr.acc.Aggregate()
-			switch {
-			case cr.acc.Count() >= adaptiveRepFloor && precisionMet(agg.ACT, precision),
-				cr.target >= maxReps:
-				cr.stopped = true
-				if cr.acc.Count() > cr.cachedLen {
-					if err := storeCellStats(opts.Cache, cr.key, cr.acc.Stats()); err != nil {
-						return nil, err
-					}
-				}
-			default:
-				cr.target *= 2
-				if cr.target > maxReps {
-					cr.target = maxReps
-				}
-				open++
+			if target >= maxReps || (target >= adaptiveRepFloor && precisionMet(cell.Agg.ACT, precision)) {
+				cells[c] = cell
+			} else {
+				next = append(next, c)
 			}
 		}
-		if open == 0 {
-			break
-		}
+		open = next
 	}
 
 	// Assemble the ragged result: Spec.Reps reports the largest cell so
 	// the JSON's top-level reps bounds every per-cell count.
-	maxCount := 0
-	for c := range cells {
-		if n := cells[c].acc.Count(); n > maxCount {
-			maxCount = n
-		}
-	}
-	spec.Reps = maxCount
-	res := &SweepResult{Spec: spec, Scenarios: scens}
-	res.Cells = make([]Cell, len(cells))
-	for c := range cells {
-		sc := scens[c/len(algos)]
-		n := cells[c].acc.Count()
-		seeds := make([]int64, n)
-		for r := range seeds {
-			seeds[r] = sweepSeed(spec.Seed, sc.ScaleIndex, r)
-		}
-		res.Cells[c] = Cell{
-			Index:    c,
-			Scenario: sc,
-			Algo:     algos[c%len(algos)],
-			Seeds:    seeds,
-			Stats:    cells[c].acc.Stats(),
-			Agg:      cells[c].acc.Aggregate(),
-		}
-		if opts.Observer != nil {
-			opts.Observer(&res.Cells[c])
+	res := &SweepResult{Spec: plan.spec, Scenarios: plan.scens, Cells: make([]Cell, len(cells))}
+	res.Spec.Reps = 0
+	for c, cell := range cells {
+		res.Cells[c] = *cell
+		res.Spec.Reps = max(res.Spec.Reps, cell.Agg.Reps)
+		if observer != nil {
+			observer(&res.Cells[c])
 		}
 	}
 	return res, nil

@@ -33,6 +33,35 @@ func (c *countingExecutor) Execute(ids []int, run func(int) error) error {
 	return inner.Execute(ids, run)
 }
 
+// skippingExecutor breaks the executor contract on purpose: it drops the
+// first ID of every call.
+type skippingExecutor struct{}
+
+func (skippingExecutor) Execute(ids []int, run func(int) error) error {
+	return executor.Local{}.Execute(ids[1:], run)
+}
+
+// TestExecutorSkippingAnIDFails pins that a job the executor never ran
+// fails every driver with an error, never yielding a cell with a zero
+// record or a short aggregate.
+func TestExecutorSkippingAnIDFails(t *testing.T) {
+	spec := microSpec([]string{"DSMF", "min-min"}, 2, 7)
+	opts := RunOptions{Executor: skippingExecutor{}}
+	if _, err := RunSweepStream(spec, opts); err == nil {
+		t.Error("RunSweepStream accepted a skipped job")
+	}
+	if res, err := RunAdaptiveCells(spec, 0.3, 0, opts); err == nil {
+		t.Errorf("RunAdaptiveCells accepted a skipped job: cell 0 has %d stats, %d seeds, %d reps",
+			len(res.Cells[0].Stats), len(res.Cells[0].Seeds), res.Cells[0].Agg.Reps)
+	}
+	if _, err := RunShard(spec, 0, 2, opts); err == nil {
+		t.Error("RunShard accepted a skipped job")
+	}
+	if _, err := RunCellUnit(spec, 1, opts); err == nil {
+		t.Error("RunCellUnit accepted a skipped job")
+	}
+}
+
 func microSpec(algos []string, reps int, seed int64) SweepSpec {
 	return SweepSpec{
 		Name:       "runner-test",

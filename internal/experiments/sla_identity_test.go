@@ -33,7 +33,7 @@ const (
 	// sha256 of the pinSpec sweep's JSON() before the SLA axis existed.
 	pinJSONSHA = "335bac19194041f4d6bbc0270fdd770f35d03bdca68462b6ddea48b850392d24"
 	// Canonical JSON of pinSpec's first scenario before the SLA axis
-	// existed: the exact bytes cellKeyFor hashes into every warm-start
+	// existed: the exact bytes cellKey hashes into every warm-start
 	// cache key, so this string pins cache identity.
 	pinScenarioJSON = `{"ScaleIndex":0,"Scale":{"Name":"tiny","Nodes":60,"LoadFactor":1,"HorizonHours":8,"SnapshotHours":1},"LoadFactor":1,"Churn":0,"CCR":{"Label":"","LoadMI":{"Min":0,"Max":0},"DataMb":{"Min":0,"Max":0}},"Arrival":{"spec":{}},"ChurnLayout":false}`
 )

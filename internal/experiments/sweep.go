@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/grid"
@@ -136,9 +137,46 @@ func (sp SweepSpec) withDefaults() SweepSpec {
 	return sp
 }
 
+// maxSweepJobs bounds a spec's job matrix. It admits every sweep the CLI
+// can declare at up to three replications (all seven axes at paper scale
+// make 320,000 cells) while capping what a spec decoded from a shard file,
+// a cache or a work directory can make the runner expand.
+const maxSweepJobs = 1 << 20
+
+var (
+	// ErrTooManyReps rejects a spec whose replication count exceeds
+	// adaptiveRepCeiling, the bound the adaptive driver also stops at.
+	ErrTooManyReps = errors.New("experiments: sweep replication count above the ceiling")
+
+	// ErrTooManyJobs rejects a spec whose job matrix exceeds maxSweepJobs.
+	ErrTooManyJobs = errors.New("experiments: sweep job matrix above the limit")
+)
+
+// jobCount returns the size of the normalized spec's job matrix, the
+// product of its axis lengths and Reps, without expanding any axis. Each
+// factor is checked against maxSweepJobs before it multiplies, so the
+// product never overflows.
+func (sp SweepSpec) jobCount() (int, error) {
+	if sp.Reps > adaptiveRepCeiling {
+		return 0, fmt.Errorf("%w: %d replications, at most %d", ErrTooManyReps, sp.Reps, adaptiveRepCeiling)
+	}
+	n := sp.Reps
+	for _, axis := range []int{len(sp.Scales), len(sp.ChurnFactors), len(sp.LoadFactors), len(sp.CCRCases),
+		len(sp.Arrivals), max(len(sp.SLAs), 1), len(sp.Algorithms)} {
+		if axis > 0 && n > maxSweepJobs/axis {
+			return 0, fmt.Errorf("%w: more than %d jobs", ErrTooManyJobs, maxSweepJobs)
+		}
+		n *= axis
+	}
+	return n, nil
+}
+
 func (sp SweepSpec) validate() error {
 	if len(sp.Scales) == 0 {
 		return fmt.Errorf("experiments: sweep needs at least one scale")
+	}
+	if _, err := sp.jobCount(); err != nil {
+		return err
 	}
 	for _, name := range sp.Algorithms {
 		if _, err := heuristics.ByName(name); err != nil {
@@ -207,7 +245,7 @@ type Scenario struct {
 
 	// SLA is the economic cell, nil outside SLA sweeps. A pointer with
 	// omitempty — not a struct value — because the scenario's canonical
-	// JSON is the warm-start cell-cache key (cellKeyFor): the absent axis
+	// JSON is the warm-start cell-cache key (sweepPlan.cellKey): the absent axis
 	// must leave every pre-economy cache identity byte-identical.
 	SLA *SLACase `json:",omitempty"`
 }
@@ -333,14 +371,14 @@ func (sp SweepSpec) Jobs() ([]SweepJob, error) {
 	return jobs, nil
 }
 
-// NumJobs returns the size of the spec's job matrix
-// (scenarios x algorithms x replications).
+// NumJobs validates the spec and returns the size of its job matrix
+// (scenarios x algorithms x replications) without expanding it.
 func (sp SweepSpec) NumJobs() (int, error) {
-	plan, err := newSweepPlan(sp)
-	if err != nil {
+	sp = sp.withDefaults()
+	if err := sp.validate(); err != nil {
 		return 0, err
 	}
-	return plan.numJobs(), nil
+	return sp.jobCount()
 }
 
 // pairKey identifies one (scale, replication) pair: the unit that shares a

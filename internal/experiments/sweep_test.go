@@ -208,22 +208,41 @@ func TestRunSweepRepZeroMatchesSingleRun(t *testing.T) {
 }
 
 func TestRunSweepProgressAndErrorBars(t *testing.T) {
-	var calls int
-	var lastDone, lastTotal int
-	res, err := RunSweepStream(SweepSpec{
+	spec := SweepSpec{
 		Scales:     []Scale{microScale},
 		Algorithms: []string{"DSMF", "SMF"},
 		Reps:       2,
 		Seed:       3,
-	}, RunOptions{Progress: func(done, total int) {
+	}
+	var calls int
+	var last [2]int
+	progress := RunOptions{Progress: func(done, total int) {
 		calls++
-		lastDone, lastTotal = done, total
-	}})
+		last = [2]int{done, total}
+	}}
+	res, err := RunSweepStream(spec, progress)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 4 || lastDone != 4 || lastTotal != 4 {
-		t.Fatalf("progress calls=%d last=(%d,%d), want 4 calls ending (4,4)", calls, lastDone, lastTotal)
+	if calls != 4 || last != [2]int{4, 4} {
+		t.Fatalf("progress calls=%d last=%v, want 4 calls ending (4,4)", calls, last)
+	}
+	// A shard and a cell unit count only the jobs they were given, so each
+	// call's progress ends at (n, n) for its own n.
+	for i := 0; i < 3; i++ {
+		part, err := RunShard(spec, i, 3, progress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := part.NumCovered(); last != [2]int{n, n} {
+			t.Fatalf("shard %d/3 over %d jobs: last progress %v", i, n, last)
+		}
+	}
+	if _, err := RunCellUnit(spec, 1, progress); err != nil {
+		t.Fatal(err)
+	}
+	if last != [2]int{2, 2} {
+		t.Fatalf("cell unit over 2 jobs: last progress %v, want (2,2)", last)
 	}
 	set := res.Fig5FinishTime()
 	if len(set.Series) != 2 {

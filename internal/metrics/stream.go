@@ -77,22 +77,6 @@ func (a *CellAccumulator) Add(rep int, st RunStats) error {
 	return nil
 }
 
-// Grow extends the accumulator to hold reps replications, keeping every
-// record already landed. Shrinking is a no-op: recorded replications are
-// never discarded. The per-cell adaptive stopper grows a cell's
-// accumulator batch by batch instead of committing to a replication count
-// upfront.
-func (a *CellAccumulator) Grow(reps int) {
-	if reps <= len(a.stats) {
-		return
-	}
-	stats := make([]RunStats, reps)
-	have := make([]bool, reps)
-	copy(stats, a.stats)
-	copy(have, a.have)
-	a.stats, a.have = stats, have
-}
-
 // Has reports whether replication rep has landed.
 func (a *CellAccumulator) Has(rep int) bool {
 	return rep >= 0 && rep < len(a.have) && a.have[rep]

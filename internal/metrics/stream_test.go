@@ -145,43 +145,3 @@ func TestCellAccumulatorDisjointHalvesMatchWhole(t *testing.T) {
 		t.Fatal("split-delivery aggregate differs from whole")
 	}
 }
-
-// TestCellAccumulatorGrow pins the adaptive stopper's contract: growing
-// keeps landed replications, shrinking is a no-op, and aggregates over a
-// grown accumulator match a fixed-size one fed the same records.
-func TestCellAccumulatorGrow(t *testing.T) {
-	a := NewCellAccumulator(2)
-	r0 := RunStats{Final: Snapshot{ACT: 100, Completed: 5}, Submitted: 5}
-	r1 := RunStats{Final: Snapshot{ACT: 200, Completed: 4}, Submitted: 5}
-	r3 := RunStats{Final: Snapshot{ACT: 400, Completed: 3}, Submitted: 5}
-	if err := a.Add(0, r0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(1, r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(3, r3); err == nil {
-		t.Fatal("out-of-range replication accepted before Grow")
-	}
-	a.Grow(4)
-	if a.Count() != 2 || !a.Has(0) || !a.Has(1) {
-		t.Fatalf("grow lost records: count=%d", a.Count())
-	}
-	if err := a.Add(3, r3); err != nil {
-		t.Fatalf("in-range replication rejected after Grow: %v", err)
-	}
-	a.Grow(1) // shrink: no-op
-	if len(a.Stats()) != 4 || a.Done() {
-		t.Fatalf("shrink mutated the accumulator: %d slots, done=%v", len(a.Stats()), a.Done())
-	}
-
-	b := NewCellAccumulator(4)
-	for rep, st := range map[int]RunStats{0: r0, 1: r1, 3: r3} {
-		if err := b.Add(rep, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.Aggregate() != b.Aggregate() {
-		t.Fatalf("grown aggregate %+v differs from fixed-size %+v", a.Aggregate(), b.Aggregate())
-	}
-}
