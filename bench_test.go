@@ -15,11 +15,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dag"
+	"repro/internal/economy"
 	"repro/internal/experiments"
+	"repro/internal/grid"
 	"repro/internal/heuristics"
 	"repro/internal/workload"
+	"repro/internal/workload/arrival"
 )
 
 const benchSeed = 2010
@@ -222,6 +226,64 @@ func BenchmarkShardedDSMFRun(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// phase1Timer wraps an algorithm's first phase and sums the wall time of
+// its Schedule calls.
+type phase1Timer struct {
+	grid.Phase1Scheduler
+	calls int
+	spent time.Duration
+}
+
+func (p *phase1Timer) Schedule(g *grid.Grid, home *grid.Node, now float64) {
+	start := time.Now()
+	p.Phase1Scheduler.Schedule(g, home, now)
+	p.spent += time.Since(start)
+	p.calls++
+}
+
+// BenchmarkPhase1 measures phase-1 planning on one grid shaped like the
+// dense-arrivals bench workload: 32 nodes at load factor 24 under Poisson
+// arrivals of 60 workflows an hour, priced at 1:0.3 with both:4:2 SLAs,
+// 18 simulated hours. Each sub-benchmark runs one planner family: list
+// (DSMF), matrix (min-min, sufferage) and DBC (DBC-ct). ns/op is the
+// whole run; ns/schedule is the mean wall time of one Schedule call.
+func BenchmarkPhase1(b *testing.B) {
+	setting := experiments.NewSetting(experiments.Scale{
+		Name: "dense", Nodes: 32, LoadFactor: 24, HorizonHours: 18, SnapshotHours: 1,
+	}, benchSeed)
+	var err error
+	if setting.Arrival, err = arrival.Parse("poisson:60"); err != nil {
+		b.Fatal(err)
+	}
+	if setting.Price, err = economy.ParsePrice("1:0.3"); err != nil {
+		b.Fatal(err)
+	}
+	if setting.SLA, err = economy.ParseSLA("both:4:2"); err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"DSMF", "min-min", "sufferage", "DBC-ct"} {
+		b.Run(name, func(b *testing.B) {
+			var calls int
+			var spent time.Duration
+			for i := 0; i < b.N; i++ {
+				algo, err := heuristics.ByName(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				timer := &phase1Timer{Phase1Scheduler: algo.Phase1}
+				algo.Phase1 = timer
+				if _, err := experiments.Run(setting, algo); err != nil {
+					b.Fatal(err)
+				}
+				calls += timer.calls
+				spent += timer.spent
+			}
+			b.ReportMetric(float64(spent.Nanoseconds())/float64(calls), "ns/schedule")
+			b.ReportMetric(float64(calls)/float64(b.N), "schedules/run")
 		})
 	}
 }

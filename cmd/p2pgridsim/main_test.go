@@ -109,6 +109,19 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 			}
 		})
 	}
+	// A NaN or infinite number in a spec is a malformed spec: it exits 2
+	// like -arrival poisson instead of running some other load or pricing.
+	for _, spec := range [][]string{
+		{"-arrival", "poisson:NaN"}, {"-arrival", "poisson:Inf"}, {"-sla", "deadline:NaN"},
+		{"-price", "NaN"}, {"-price", "Inf"}, {"-price", "1:NaN"},
+	} {
+		args := append([]string{"-experiment", "single", "-scale", "tiny", "-algo", "DBC-ct"}, spec...)
+		t.Run("non-finite "+strings.Join(spec, " "), func(t *testing.T) {
+			if code, _, stderr := runCLI(args...); code != 2 {
+				t.Fatalf("args %v exited %d, want 2; stderr:\n%s", args, code, stderr)
+			}
+		})
+	}
 }
 
 // TestFlagScopes pins the one flag-scope check: a flag the selected mode

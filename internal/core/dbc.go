@@ -29,7 +29,8 @@ const (
 // filtered out; among the survivors DBCCost/DBCCostTime take the cheapest
 // (ties to the earlier finisher) and DBCTime the earliest finisher. A task
 // with no feasible candidate falls back to the unconstrained best-effort
-// pick and the violation is recorded in grid.SLAFallbacks — constrained
+// pick, the earliest finisher found in the same pass over the candidates,
+// and the violation is recorded in grid.SLAFallbacks — constrained
 // scheduling degrades, it never stalls.
 //
 // Workflows without an SLA pass every filter, so best-effort and SLA
@@ -114,8 +115,13 @@ func (s *DBCPhase1) pick(g *grid.Grid, rt RankedTask, cands []Candidate, now, av
 
 	load := rt.Task.Task().Load
 	bestIdx, bestFT, bestPrice := -1, math.Inf(1), math.Inf(1)
+	// anyIdx is the unconstrained earliest finisher, as BestNode picks it.
+	anyIdx, anyFT := -1, math.Inf(1)
 	for i := range cands {
 		ft := FinishTime(g, rt.Task, cands[i])
+		if ft < anyFT {
+			anyIdx, anyFT = i, ft
+		}
 		if ft > taskDeadline {
 			continue
 		}
@@ -136,6 +142,5 @@ func (s *DBCPhase1) pick(g *grid.Grid, rt RankedTask, cands []Candidate, now, av
 	if bestIdx >= 0 {
 		return bestIdx, true
 	}
-	idx, _ = BestNode(g, rt.Task, cands)
-	return idx, false
+	return anyIdx, false
 }

@@ -69,26 +69,39 @@ func homeCandidate(home *grid.Node) Candidate {
 //
 // Transfer times come from the landmark-based estimator, not the true
 // network, so the scheduler sees exactly the information a real node has.
+// Only R moves when a scheduler places a task, so a planner that rates
+// many tasks on the same candidates (MatrixPhase1) computes transferTerm
+// and et once per task and candidate and recombines them with the current
+// R through finish.
 func FinishTime(g *grid.Grid, t *grid.TaskInstance, c Candidate) float64 {
 	if c.CapacityMIPS <= 0 {
 		return math.Inf(1)
 	}
+	return finish(c.TotalLoadMI/c.CapacityMIPS, transferTerm(g, t, c.Node), t.Task().Load/c.CapacityMIPS)
+}
+
+// transferTerm is LTD of Eq. 4: the estimated time until t's image and
+// every precedent's output data have reached node.
+func transferTerm(g *grid.Grid, t *grid.TaskInstance, node int) float64 {
 	est := g.Estimator()
-	task := t.Task()
-	ltd := est.EstimateTransferTime(t.WF.Home, c.Node, task.ImageMb)
+	ltd := est.EstimateTransferTime(t.WF.Home, node, t.Task().ImageMb)
 	for _, e := range t.WF.W.Predecessors(t.ID) {
 		pred := t.WF.Tasks[e.From]
 		src := pred.Node
 		if src < 0 {
 			src = t.WF.Home // defensive: unexecuted precedent data at home
 		}
-		if x := est.EstimateTransferTime(src, c.Node, e.DataMb); x > ltd {
+		if x := est.EstimateTransferTime(src, node, e.DataMb); x > ltd {
 			ltd = x
 		}
 	}
-	r := c.TotalLoadMI / c.CapacityMIPS
-	start := math.Max(r, ltd)
-	return start + task.Load/c.CapacityMIPS
+	return ltd
+}
+
+// finish is Eqs. 5-6: the task starts once the queue has drained and its
+// inputs have arrived, then runs for et.
+func finish(r, ltd, et float64) float64 {
+	return max(r, ltd) + et
 }
 
 // BestNode applies Formula 9: the candidate index minimizing FT(tau, p_h),

@@ -16,6 +16,8 @@ type MatrixRow struct {
 	BestIdx  int
 	BestFT   float64
 	SecondFT float64
+
+	terms []ftTerms // the task's cell per candidate, in candidate order
 }
 
 // Sufferage returns how much the task suffers if denied its best node.
@@ -26,18 +28,47 @@ func (r MatrixRow) Sufferage() float64 {
 	return r.SecondFT - r.BestFT
 }
 
+// ftTerms holds the parts of FT(tau, p_h) that a placement does not move:
+// the transfer term LTD and the run time et (see FinishTime).
+type ftTerms struct{ ltd, et float64 }
+
+// rescan recomputes the row's best and second-best FT from its cells and
+// every candidate's current queueing delay R.
+func (r *MatrixRow) rescan(delay []float64) {
+	r.BestIdx, r.BestFT, r.SecondFT = -1, math.Inf(1), math.Inf(1)
+	delay = delay[:len(r.terms)]
+	for i, c := range r.terms {
+		ft := finish(delay[i], c.ltd, c.et)
+		switch {
+		case ft < r.BestFT:
+			r.SecondFT = r.BestFT
+			r.BestFT = ft
+			r.BestIdx = i
+		case ft < r.SecondFT:
+			r.SecondFT = ft
+		}
+	}
+}
+
 // MatrixPhase1 is the decentralized min-min / max-min / sufferage first
 // phase (Maheswaran et al., adapted to workflows as in Section IV.A):
 // build the FT matrix over (schedule point x candidate), repeatedly pick
 // one row by the family rule, place the task on its best node, update that
-// node's load, and recompute - the classic O(T^2 x C) loop.
+// node's load, and rescan. A placement moves only the placed candidate's
+// queueing delay R, so each call first fills a table of every cell's
+// transfer term and run time, an O(T·C·(1+P)) pass of estimates over the
+// T schedule points, C candidates and P precedents per point; each rescan
+// is then a max-and-add per cell, O(T²·C) over the call.
 type MatrixPhase1 struct {
 	Label string
 	// Pick returns the index of the chosen row.
 	Pick func(rows []MatrixRow) int
 
-	candBuf []Candidate // per-instance scratch; one engine thread per run
-	rowBuf  []MatrixRow
+	// Per-instance scratch; one engine thread per run.
+	candBuf  []Candidate
+	rowBuf   []MatrixRow
+	termBuf  []ftTerms // T×C cells, one run of C per row
+	delayBuf []float64 // R per candidate
 }
 
 // Name implements grid.Phase1Scheduler.
@@ -55,24 +86,45 @@ func (s *MatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 		return
 	}
 	pending := Flatten(views)
-	for len(pending) > 0 {
-		// A failed dispatch may revert a shared precedent and demote other
-		// pending tasks back to blocked; drop them from this pass.
-		alive := pending[:0]
-		for _, rt := range pending {
-			if rt.Task.State == grid.TaskSchedulePoint {
-				alive = append(alive, rt)
+	nc := len(cands)
+	if n := len(pending) * nc; cap(s.termBuf) < n {
+		s.termBuf = make([]ftTerms, n)
+	}
+	rows := s.rowBuf[:0]
+	for i, rt := range pending {
+		terms := s.termBuf[i*nc : (i+1)*nc]
+		for j, c := range cands {
+			if c.CapacityMIPS > 0 {
+				terms[j] = ftTerms{transferTerm(g, rt.Task, c.Node), rt.Task.Task().Load / c.CapacityMIPS}
+			} else {
+				terms[j] = ftTerms{} // queueDelay puts the column at +Inf
 			}
 		}
-		pending = alive
-		if len(pending) == 0 {
+		rows = append(rows, MatrixRow{Task: rt.Task, RPM: rt.RPM, Makespan: rt.Makespan, terms: terms})
+	}
+	s.rowBuf = rows
+	delay := s.delayBuf[:0]
+	for _, c := range cands {
+		delay = append(delay, queueDelay(c))
+	}
+	s.delayBuf = delay
+	live := nc
+	for len(rows) > 0 {
+		// A failed dispatch may revert a shared precedent and demote other
+		// pending tasks back to blocked; drop them from this pass.
+		alive := rows[:0]
+		for _, row := range rows {
+			if row.Task.State == grid.TaskSchedulePoint {
+				alive = append(alive, row)
+			}
+		}
+		rows = alive
+		if len(rows) == 0 {
 			return
 		}
-		rows := s.rowBuf[:0]
-		for _, rt := range pending {
-			rows = append(rows, computeRow(g, rt, cands))
+		for i := range rows {
+			rows[i].rescan(delay)
 		}
-		s.rowBuf = rows
 		pick := s.Pick(rows)
 		if pick < 0 || pick >= len(rows) {
 			return
@@ -83,35 +135,28 @@ func (s *MatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 		}
 		row.Task.SufferageAtDispatch = row.Sufferage()
 		if !dispatchTo(g, home, row.Task, cands, row.BestIdx, row.RPM, row.Makespan) {
-			// Stale record: drop the vanished candidate, keep the task
-			// pending, and rebuild the matrix.
-			cands = removeCandidate(cands, row.BestIdx)
-			if len(cands) == 0 {
+			// Stale record: the candidate vanished. An infinite R puts
+			// every FT on its column at +Inf, which the strict < of rescan
+			// never takes as best or second, so the column is as good as
+			// deleted. The task stays pending.
+			delay[row.BestIdx] = math.Inf(1)
+			if live--; live == 0 {
 				return
 			}
 			continue
 		}
-		pending = append(pending[:pick], pending[pick+1:]...)
+		delay[row.BestIdx] = queueDelay(cands[row.BestIdx])
+		rows = append(rows[:pick], rows[pick+1:]...)
 	}
 }
 
-func computeRow(g *grid.Grid, rt RankedTask, cands []Candidate) MatrixRow {
-	row := MatrixRow{
-		Task: rt.Task, RPM: rt.RPM, Makespan: rt.Makespan,
-		BestIdx: -1, BestFT: math.Inf(1), SecondFT: math.Inf(1),
+// queueDelay is R of Eq. 5 for c, or +Inf for a candidate without
+// capacity, on which FinishTime is +Inf too.
+func queueDelay(c Candidate) float64 {
+	if c.CapacityMIPS <= 0 {
+		return math.Inf(1)
 	}
-	for i := range cands {
-		ft := FinishTime(g, rt.Task, cands[i])
-		switch {
-		case ft < row.BestFT:
-			row.SecondFT = row.BestFT
-			row.BestFT = ft
-			row.BestIdx = i
-		case ft < row.SecondFT:
-			row.SecondFT = ft
-		}
-	}
-	return row
+	return c.TotalLoadMI / c.CapacityMIPS
 }
 
 // PickMinMin selects the row whose best FT is smallest (ties: first row).

@@ -15,6 +15,7 @@ package economy
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -76,10 +77,10 @@ func (s SLASpec) Validate() error {
 	default:
 		return fmt.Errorf("economy: unknown SLA kind %q", s.Kind)
 	}
-	if s.HasDeadline() && s.DeadlineFactor <= 0 {
+	if s.HasDeadline() && !positiveFinite(s.DeadlineFactor) {
 		return fmt.Errorf("economy: SLA kind %q needs DeadlineFactor > 0, got %v", s.kind(), s.DeadlineFactor)
 	}
-	if s.HasBudget() && s.BudgetFactor <= 0 {
+	if s.HasBudget() && !positiveFinite(s.BudgetFactor) {
 		return fmt.Errorf("economy: SLA kind %q needs BudgetFactor > 0, got %v", s.kind(), s.BudgetFactor)
 	}
 	checks := []struct {
@@ -97,6 +98,10 @@ func (s SLASpec) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether v lies in (0, +Inf). Unlike a negated
+// v <= 0 test, it rejects NaN.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Normalize collapses equivalent spellings onto one canonical value: the
 // explicit "none" becomes the zero value, so specs compare (and hash) by
@@ -145,7 +150,7 @@ func ParseSLA(s string) (SLASpec, error) {
 	parts := strings.Split(s, ":")
 	num := func(i int, what string) (float64, error) {
 		v, err := strconv.ParseFloat(parts[i], 64)
-		if err != nil || v <= 0 {
+		if err != nil || !positiveFinite(v) {
 			return 0, fmt.Errorf("economy: SLA spec %q: %s must be a positive number, got %q", s, what, parts[i])
 		}
 		return v, nil
@@ -211,10 +216,10 @@ func (p PriceSpec) Enabled() bool { return p.BaseRate != 0 }
 
 // Validate checks internal consistency.
 func (p PriceSpec) Validate() error {
-	if p.BaseRate < 0 {
+	if !(p.BaseRate >= 0) || math.IsInf(p.BaseRate, 1) {
 		return fmt.Errorf("economy: price base rate must be >= 0, got %v", p.BaseRate)
 	}
-	if p.Spread < 0 || p.Spread >= 1 {
+	if !(p.Spread >= 0 && p.Spread < 1) {
 		return fmt.Errorf("economy: price spread must be in [0, 1), got %v", p.Spread)
 	}
 	if !p.Enabled() && p.Spread != 0 {
@@ -248,13 +253,13 @@ func ParsePrice(s string) (PriceSpec, error) {
 		return PriceSpec{}, fmt.Errorf("economy: price spec %q: want RATE[:SPREAD] or none", s)
 	}
 	rate, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil || rate <= 0 {
+	if err != nil || !positiveFinite(rate) {
 		return PriceSpec{}, fmt.Errorf("economy: price spec %q: rate must be a positive number, got %q", s, parts[0])
 	}
 	p := PriceSpec{BaseRate: rate}
 	if len(parts) == 2 {
 		sp, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || sp < 0 || sp >= 1 {
+		if err != nil || !(sp >= 0 && sp < 1) {
 			return PriceSpec{}, fmt.Errorf("economy: price spec %q: spread must be in [0, 1), got %q", s, parts[1])
 		}
 		p.Spread = sp

@@ -1,6 +1,7 @@
 package economy
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,8 @@ func TestSLAValidate(t *testing.T) {
 		{"none with budget factor", SLASpec{Kind: KindNone, BudgetFactor: 2}, "BudgetFactor is not applicable"},
 		{"deadline with budget factor", SLASpec{Kind: KindDeadline, DeadlineFactor: 2, BudgetFactor: 2}, "BudgetFactor is not applicable"},
 		{"budget with deadline factor", SLASpec{Kind: KindBudget, BudgetFactor: 2, DeadlineFactor: 2}, "DeadlineFactor is not applicable"},
+		{"deadline NaN factor", SLASpec{Kind: KindDeadline, DeadlineFactor: math.NaN()}, "needs DeadlineFactor > 0"},
+		{"budget infinite factor", SLASpec{Kind: KindBudget, BudgetFactor: math.Inf(1)}, "needs BudgetFactor > 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -163,6 +166,11 @@ func TestPriceValidateAndParse(t *testing.T) {
 	}
 	if err := (PriceSpec{Spread: 0.5}).Validate(); err == nil {
 		t.Fatal("Validate accepted spread without base rate")
+	}
+	for _, p := range []PriceSpec{{BaseRate: math.NaN()}, {BaseRate: math.Inf(1)}, {BaseRate: 1, Spread: math.NaN()}} {
+		if err := p.Validate(); err == nil {
+			t.Fatalf("Validate accepted %+v", p)
+		}
 	}
 }
 

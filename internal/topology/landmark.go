@@ -63,8 +63,9 @@ func (e *LandmarkEstimator) Estimate(a, b int) float64 {
 	}
 	best := 0.0
 	ra, rb := e.toLM[a], e.toLM[b]
+	rb = rb[:len(ra)]
 	for k := range ra {
-		v := math.Min(ra[k], rb[k])
+		v := min(ra[k], rb[k]) // math.Min's results, without its call
 		if v > best {
 			best = v
 		}

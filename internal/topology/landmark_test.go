@@ -171,3 +171,46 @@ func TestBandwidthOraclePassthrough(t *testing.T) {
 		t.Fatalf("oracle transfer time %v, want %v", got, want)
 	}
 }
+
+// TestEstimateMatchesMathMin pins Estimate's builtin min to the math.Min
+// triangulation it replaced, on hand-built rows with +Inf bandwidths,
+// zeros and ties, and on a generated network.
+func TestEstimateMatchesMathMin(t *testing.T) {
+	inf := math.Inf(1)
+	ref := func(e *LandmarkEstimator, a, b int) float64 {
+		if a == b {
+			return inf
+		}
+		best := 0.0
+		for k := range e.toLM[a] {
+			if v := math.Min(e.toLM[a][k], e.toLM[b][k]); v > best {
+				best = v
+			}
+		}
+		return best
+	}
+	hand := &LandmarkEstimator{landmarks: []int{0, 1, 2, 3}, toLM: [][]float64{
+		{inf, 5, 5, 0},
+		{inf, 5, 7, inf},
+		{3, inf, 5, 5},
+		{inf, inf, inf, inf},
+		{0, 0, 0, 0},
+		{5, 5, 5, 5},
+	}}
+	net := testNet(t, 12)
+	gen, err := NewLandmarkEstimator(net, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*LandmarkEstimator{hand, gen} {
+		n := len(e.toLM)
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				got, want := e.Estimate(a, b), ref(e, a, b)
+				if got != want || math.Signbit(got) != math.Signbit(want) {
+					t.Fatalf("Estimate(%d,%d) = %v, math.Min reference %v", a, b, got, want)
+				}
+			}
+		}
+	}
+}

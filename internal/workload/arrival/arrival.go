@@ -83,23 +83,23 @@ func (s Spec) Validate() error {
 	case "", KindBatch:
 		return nil
 	case KindPoisson, KindMMPP, KindDiurnal:
-		if s.RatePerHour <= 0 {
+		if !(s.RatePerHour > 0 && finite(s.RatePerHour)) {
 			return fmt.Errorf("arrival: %s needs RatePerHour > 0, got %v", s.Kind, s.RatePerHour)
 		}
-		if s.Kind == KindMMPP && s.Burst != 0 && s.Burst < 1 {
+		if s.Kind == KindMMPP && s.Burst != 0 && !(s.Burst >= 1 && finite(s.Burst)) {
 			return fmt.Errorf("arrival: mmpp burst multiplier %v < 1", s.Burst)
 		}
-		if s.DwellHours < 0 || s.PeriodHours < 0 {
+		if !(s.DwellHours >= 0 && finite(s.DwellHours)) || !(s.PeriodHours >= 0 && finite(s.PeriodHours)) {
 			return fmt.Errorf("arrival: negative dwell/period in %+v", s)
 		}
-		return nil
+		return s.checkFloors()
 	default: // KindTrace
 		if len(s.Times) == 0 {
 			return fmt.Errorf("arrival: trace replay needs a non-empty schedule")
 		}
 		prev := math.Inf(-1)
 		for i, t := range s.Times {
-			if math.IsNaN(t) || t < 0 {
+			if !finite(t) || t < 0 {
 				return fmt.Errorf("arrival: trace time %d is %v", i, t)
 			}
 			if t < prev {
@@ -110,6 +110,33 @@ func (s Spec) Validate() error {
 		return nil
 	}
 }
+
+// minRate bounds the sparsest synthetic process Schedule samples: the
+// least RatePerHour, MMPP RatePerHour × DwellHours and diurnal
+// PeriodHours. Far below it a schedule overflows to +Inf or never ends: a
+// Poisson gap is 3600/RatePerHour seconds, an MMPP makes about
+// 1/(2·RatePerHour·DwellHours) state switches per arrival, and a cycle far
+// shorter than the gaps between arrivals puts the diurnal sine's argument
+// outside the float range. One arrival in 10^6 hours is far sparser than
+// any run horizon can observe.
+const minRate = 1e-6
+
+// checkFloors rejects a synthetic spec too sparse for Schedule to sample.
+func (s Spec) checkFloors() error {
+	if s.RatePerHour < minRate {
+		return fmt.Errorf("arrival: %s needs RatePerHour >= %g, got %v", s.Kind, minRate, s.RatePerHour)
+	}
+	if s.Kind == KindMMPP && s.DwellHours != 0 && s.RatePerHour*s.DwellHours < minRate {
+		return fmt.Errorf("arrival: mmpp needs RatePerHour × DwellHours >= %g, got %v", minRate, s.RatePerHour*s.DwellHours)
+	}
+	if s.Kind == KindDiurnal && s.PeriodHours != 0 && s.PeriodHours < minRate {
+		return fmt.Errorf("arrival: diurnal needs PeriodHours >= %g, got %v", minRate, s.PeriodHours)
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // checkApplicable rejects nonzero parameters the spec's kind never reads.
 func (s Spec) checkApplicable() error {
@@ -291,7 +318,7 @@ func Parse(s string) (Spec, error) {
 	argc := len(parts) - 1
 	num := func(i int, what string) (float64, error) {
 		v, err := strconv.ParseFloat(parts[i], 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v > 0 && finite(v)) {
 			return 0, fmt.Errorf("arrival: bad %s %q in %q", what, parts[i], s)
 		}
 		return v, nil

@@ -134,6 +134,16 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{Kind: KindTrace, Times: []float64{5, 1}},
 		{Kind: KindTrace, Times: []float64{-1}},
 		{Kind: KindTrace, Times: []float64{math.NaN()}},
+		{Kind: KindTrace, Times: []float64{0, math.Inf(1)}},
+		{Kind: KindPoisson, RatePerHour: math.NaN()},
+		{Kind: KindPoisson, RatePerHour: math.Inf(1)},
+		{Kind: KindPoisson, RatePerHour: 1e-320},
+		{Kind: KindMMPP, RatePerHour: 10, Burst: math.NaN()},
+		{Kind: KindMMPP, RatePerHour: 10, Burst: math.Inf(1)},
+		{Kind: KindMMPP, RatePerHour: 10, DwellHours: math.NaN()},
+		{Kind: KindMMPP, RatePerHour: 1e-3, DwellHours: 1e-4},
+		{Kind: KindDiurnal, RatePerHour: 10, PeriodHours: math.Inf(1)},
+		{Kind: KindDiurnal, RatePerHour: 10, PeriodHours: 1e-309},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
