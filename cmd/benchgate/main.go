@@ -5,13 +5,17 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench=BenchmarkSingleDSMFRun -benchmem -count=5 . \
+//	go test -run=NONE -bench=BenchmarkSingleDSMFRun -benchmem -benchtime=20x -count=5 . \
 //	    | go run ./cmd/benchgate -baseline BENCH_baseline.json
 //
 // ns/op is gated with a generous threshold (CI runners are noisy; the
 // median across -count repetitions absorbs most of it). B/op is
 // deterministic for this simulator, so the same threshold catches real
-// allocation regressions exactly. allocs/op is reported but not gated.
+// allocation regressions exactly. allocs/op is deterministic to within one
+// allocation, so its median may exceed the baseline by at most one. All
+// three are averages over the b.N iterations, each its own seed, so they
+// compare only at the iteration count the baseline was recorded at: input
+// run at any other count is refused.
 package main
 
 import (
@@ -73,6 +77,9 @@ type baseline struct {
 	Metrics     metricsBlock      `json:"metrics"`
 	Thresholds  thresholdBlock    `json:"thresholds"`
 	Calibration calibrationBlock  `json:"calibration,omitempty"`
+	// Iterations is the b.N every recorded sample ran (-benchtime=Nx).
+	// Without it allocs/op is reported but not gated.
+	Iterations int `json:"iterations,omitempty"`
 	// Baselines holds per-CPU entries; the top-level metrics are the
 	// recorded-host fallback for CPUs without one.
 	Baselines []envBaseline     `json:"baselines,omitempty"`
@@ -129,6 +136,7 @@ func detectCPU() string {
 
 // sample is one parsed benchmark result line.
 type sample struct {
+	iters       int // b.N, the line's iteration column
 	nsPerOp     float64
 	bytesPerOp  float64
 	allocsPerOp float64
@@ -210,6 +218,15 @@ func gateMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "benchgate:", err)
 		return 2
+	}
+	if n := base.Iterations; n > 0 {
+		for _, s := range samples {
+			if s.iters != n {
+				fmt.Fprintf(stderr, "benchgate: %s ran %d iterations, but the baseline was recorded at %d; each iteration runs its own seed, so rerun with -benchtime=%dx\n",
+					base.Benchmark, s.iters, n, n)
+				return 2
+			}
+		}
 	}
 	if *candidate != "" {
 		if err := writeCandidate(*candidate, base.Benchmark, model, samples, measuredCal, stdout); err != nil {
@@ -336,7 +353,11 @@ func parseBench(r io.Reader, name string) ([]sample, error) {
 		if bench != name {
 			continue
 		}
-		var s sample
+		iters, err := strconv.Atoi(fields[1])
+		if err != nil {
+			continue
+		}
+		s := sample{iters: iters}
 		ok := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -376,9 +397,13 @@ func median(xs []float64) float64 {
 	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
+// allocSlack is how far the allocs/op median may exceed its baseline.
+const allocSlack = 1
+
 // gate compares sample medians against the baseline and renders the
-// verdict. It fails on ns/op or B/op medians above baseline*(1+threshold);
-// allocs/op is informational.
+// verdict. It fails on ns/op or B/op medians above baseline*(1+threshold),
+// and, when the baseline records its iteration count, on an allocs/op
+// median more than allocSlack above its baseline.
 func gate(base baseline, samples []sample, nsThresh, bThresh float64) (report string, failed bool) {
 	ns := make([]float64, len(samples))
 	bs := make([]float64, len(samples))
@@ -389,7 +414,10 @@ func gate(base baseline, samples []sample, nsThresh, bThresh float64) (report st
 	var b strings.Builder
 	fmt.Fprintf(&b, "benchgate: %s, median of %d runs vs baseline (%s, %s)\n",
 		base.Benchmark, len(samples), base.Environment["cpu"], base.Environment["go"])
-	check := func(metric string, got, want, thresh float64, gated bool) {
+	// check fails got when it is both more than thresh (relative) and
+	// more than slack (absolute) above want; an ungated metric is only
+	// reported.
+	check := func(metric string, got, want, thresh, slack float64, gated bool) {
 		if gated && got <= 0 {
 			// A gated metric missing from the input (e.g. B/op without
 			// -benchmem) must fail, not masquerade as an improvement.
@@ -402,20 +430,23 @@ func gate(base baseline, samples []sample, nsThresh, bThresh float64) (report st
 		verdict := "ok"
 		switch {
 		case !gated:
-			verdict = "info"
-		case delta > thresh:
+			verdict = "info (the baseline records no iteration count)"
+		case delta > thresh && got-want > slack:
 			verdict = fmt.Sprintf("FAIL (> +%.0f%%)", thresh*100)
+			if slack > 0 {
+				verdict = fmt.Sprintf("FAIL (> +%.0f)", slack)
+			}
 			failed = true
-		case delta < -thresh:
+		case delta < -thresh && want-got > slack:
 			verdict = "improved - consider refreshing the baseline"
 		}
 		fmt.Fprintf(&b, "  %-10s %14.0f  baseline %14.0f  %+7.2f%%  %s\n",
 			metric, got, want, delta*100, verdict)
 	}
-	check("ns/op", median(ns), base.Metrics.NsPerOp, nsThresh, true)
-	check("B/op", median(bs), base.Metrics.BytesPerOp, bThresh, true)
+	check("ns/op", median(ns), base.Metrics.NsPerOp, nsThresh, 0, true)
+	check("B/op", median(bs), base.Metrics.BytesPerOp, bThresh, 0, true)
 	if base.Metrics.AllocsPerOp > 0 {
-		check("allocs/op", median(al), base.Metrics.AllocsPerOp, 0, false)
+		check("allocs/op", median(al), base.Metrics.AllocsPerOp, 0, allocSlack, base.Iterations > 0)
 	}
 	return b.String(), failed
 }

@@ -15,7 +15,8 @@ const baselineJSON = `{
   "benchmark": "BenchmarkSingleDSMFRun",
   "environment": {"goos": "linux", "cpu": "test", "go": "go1.24"},
   "metrics": {"ns_per_op": 100000000, "bytes_per_op": 2000000, "allocs_per_op": 20000},
-  "thresholds": {"ns_per_op": 0.20, "bytes_per_op": 0.20}
+  "thresholds": {"ns_per_op": 0.20, "bytes_per_op": 0.20},
+  "iterations": 20
 }`
 
 // benchLines renders count result lines at the given metrics, in the exact
@@ -66,8 +67,9 @@ func TestGatePassesAtBaseline(t *testing.T) {
 
 func TestGatePassesWithinThreshold(t *testing.T) {
 	base := writeBaseline(t)
-	// +15% ns/op and +10% B/op: noisy but inside the 20% gate.
-	code, stdout, _ := runGate(t, base, benchLines(115e6, 2.2e6, 21000, 5))
+	// +15% ns/op and +10% B/op: noisy but inside the 20% gate; allocs/op
+	// at its baseline.
+	code, stdout, _ := runGate(t, base, benchLines(115e6, 2.2e6, 20000, 5))
 	if code != 0 {
 		t.Fatalf("within-threshold run failed:\n%s", stdout)
 	}
@@ -89,6 +91,35 @@ func TestGateFailsOnSyntheticRegression(t *testing.T) {
 	code, stdout, _ = runGate(t, base, benchLines(100e6, 2.5e6, 20000, 5))
 	if code != 1 {
 		t.Fatalf("B/op regression not caught (exit %d):\n%s", code, stdout)
+	}
+}
+
+// TestGateAllocsWithinOne pins the allocs/op gate: the median may exceed
+// the baseline by one allocation, not by two, however small that is
+// relative to the baseline. It compares only samples run at the baseline's
+// iteration count, and a baseline without one leaves allocs/op ungated.
+func TestGateAllocsWithinOne(t *testing.T) {
+	base := writeBaseline(t)
+	if code, stdout, _ := runGate(t, base, benchLines(100e6, 2e6, 20001, 5)); code != 0 {
+		t.Fatalf("+1 alloc/op failed the gate (exit %d):\n%s", code, stdout)
+	}
+	code, stdout, _ := runGate(t, base, benchLines(100e6, 2e6, 20002, 5))
+	if code != 1 || !strings.Contains(stdout, "FAIL (> +1)") {
+		t.Fatalf("+2 allocs/op passed the gate (exit %d):\n%s", code, stdout)
+	}
+	if code, stdout, _ = runGate(t, base, benchLines(100e6, 2e6, 19990, 5)); code != 0 || !strings.Contains(stdout, "refreshing the baseline") {
+		t.Fatalf("fewer allocs/op not reported as an improvement (exit %d):\n%s", code, stdout)
+	}
+	// One sample at the default -benchtime's count instead of 20x.
+	in := strings.Replace(benchLines(100e6, 2e6, 20000, 5), "\t      20\t", "\t      37\t", 1)
+	code, stdout, stderr := runGate(t, base, in)
+	if code != 2 || !strings.Contains(stderr, "ran 37 iterations") || !strings.Contains(stderr, "-benchtime=20x") {
+		t.Fatalf("a 37-iteration sample was gated against a 20-iteration baseline (exit %d):\n%s%s", code, stdout, stderr)
+	}
+	code, stdout, _ = runGateArgs(t, strings.Replace(baselineJSON, `,
+  "iterations": 20`, "", 1), benchLines(100e6, 2e6, 20002, 5))
+	if code != 0 || !strings.Contains(stdout, "info (the baseline records no iteration count)") {
+		t.Fatalf("allocs/op gated without a recorded iteration count (exit %d):\n%s", code, stdout)
 	}
 }
 

@@ -111,9 +111,12 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 	}
 	// A NaN or infinite number in a spec is a malformed spec: it exits 2
 	// like -arrival poisson instead of running some other load or pricing.
+	// A NaN -trace-scale would otherwise submit every job at t = 0.
 	for _, spec := range [][]string{
 		{"-arrival", "poisson:NaN"}, {"-arrival", "poisson:Inf"}, {"-sla", "deadline:NaN"},
 		{"-price", "NaN"}, {"-price", "Inf"}, {"-price", "1:NaN"},
+		{"-trace", "sample", "-trace-scale", "NaN"}, {"-trace", "sample", "-trace-scale", "Inf"},
+		{"-trace", "sample", "-trace-scale", "-Inf"},
 	} {
 		args := append([]string{"-experiment", "single", "-scale", "tiny", "-algo", "DBC-ct"}, spec...)
 		t.Run("non-finite "+strings.Join(spec, " "), func(t *testing.T) {

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/stats"
+	"repro/internal/workload/arrival"
 	"repro/internal/workload/loadspec"
 	"repro/internal/workload/mining"
 	"repro/internal/workload/traces"
@@ -110,11 +111,27 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		// explicit -arrival is a real conflict (loadspec rejects it).
 		arrival = ""
 	}
+	// Resolve the workload source eagerly: a malformed spec, an unreadable
+	// trace or a bad model is a usage error for every format, not only for
+	// -format schedule. The resolution rules and error vocabulary live in
+	// loadspec, shared with p2pgridsim and the service API.
+	synth := 0
+	if *model != "" && countSet {
+		countSet = false // the synthesized length IS the count
+		synth = *count
+	}
+	sp, err := loadspec.ResolveOptions(loadspec.Options{
+		Arrival: arrival, Trace: *trcPath, TraceScale: *trscale,
+		Model: *model, Synth: synth, Seed: *seed,
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "wfgen:", err)
+		return 2
+	}
 	if err := run(genOptions{
 		family: *family, scale: *scale, count: *count, countSet: countSet,
 		seed: *seed, format: *format, mips: *mips, bw: *bw,
-		arrival: arrival, tracePath: *trcPath, traceScale: *trscale,
-		model: *model,
+		spec: sp.Arrival, trace: sp.Trace,
 	}, stdout); err != nil {
 		fmt.Fprintln(stderr, "wfgen:", err)
 		return 1
@@ -149,17 +166,15 @@ func runFit(path string, stdout, stderr io.Writer) error {
 }
 
 type genOptions struct {
-	family     string
-	scale      int
-	count      int
-	countSet   bool
-	seed       int64
-	format     string
-	mips, bw   float64
-	arrival    string
-	tracePath  string
-	traceScale float64
-	model      string
+	family   string
+	scale    int
+	count    int
+	countSet bool
+	seed     int64
+	format   string
+	mips, bw float64
+	spec     arrival.Spec  // the resolved arrival process
+	trace    *traces.Trace // the resolved trace, nil without one
 }
 
 func run(o genOptions, stdout io.Writer) error {
@@ -173,23 +188,7 @@ func run(o genOptions, stdout io.Writer) error {
 	}
 	est := dag.Estimates{AvgCapacityMIPS: o.mips, AvgBandwidthMbs: o.bw}
 
-	// Resolve the arrival spec and trace eagerly — a typo in either flag
-	// must fail for every format, not only for -format schedule. The
-	// resolution rules and error vocabulary live in loadspec, shared with
-	// p2pgridsim and the service API.
-	synth := 0
-	if o.model != "" && o.countSet {
-		o.countSet = false // the synthesized length IS the count below
-		synth = o.count
-	}
-	sp, err := loadspec.ResolveOptions(loadspec.Options{
-		Arrival: o.arrival, Trace: o.tracePath, TraceScale: o.traceScale,
-		Model: o.model, Synth: synth, Seed: o.seed,
-	})
-	if err != nil {
-		return err
-	}
-	spec, tr := sp.Arrival, sp.Trace
+	spec, tr := o.spec, o.trace
 
 	// Resolve the schedule before generating, so -arrival trace can set
 	// the workflow count from the trace length.
@@ -201,6 +200,7 @@ func run(o genOptions, stdout io.Writer) error {
 				o.count = len(spec.Times)
 			}
 		}
+		var err error
 		if times, err = spec.Schedule(o.count, stats.SplitSeed(o.seed, 0x35)); err != nil {
 			return err
 		}

@@ -142,14 +142,21 @@ func TestScheduleTraceRowsUseReplayScaling(t *testing.T) {
 }
 
 // TestArrivalFlagsValidatedForEveryFormat pins the eager-validation
-// contract: typos fail (exit non-zero) even when the format ignores the
-// flags, and valid-but-ignored flags warn on stderr.
+// contract: a malformed workload spec is a usage error (exit 2, no
+// output) even when the format ignores the flags, and valid-but-ignored
+// flags warn on stderr.
 func TestArrivalFlagsValidatedForEveryFormat(t *testing.T) {
-	if code, _, _ := runWfgen("-format", "summary", "-arrival", "poisson:zero"); code == 0 {
-		t.Fatal("malformed -arrival accepted under -format summary")
-	}
-	if code, _, _ := runWfgen("-format", "summary", "-arrival", "trace", "-trace", "/nonexistent-dir/t.swf"); code == 0 {
-		t.Fatal("missing trace accepted under -format summary")
+	for _, args := range [][]string{
+		{"-format", "summary", "-arrival", "poisson:zero"},
+		{"-format", "summary", "-arrival", "trace", "-trace", "/nonexistent-dir/t.swf"},
+		{"-format", "schedule", "-arrival", "trace", "-trace", "sample", "-trace-scale", "NaN"},
+		{"-format", "schedule", "-arrival", "trace", "-trace", "sample", "-trace-scale", "Inf"},
+		{"-format", "schedule", "-arrival", "trace", "-trace", "sample", "-trace-scale", "-Inf"},
+	} {
+		code, stdout, stderr := runWfgen(args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "wfgen: ") {
+			t.Errorf("args %v: exit %d, stdout %q, stderr %q; want exit 2, an error and no output", args, code, stdout, stderr)
+		}
 	}
 	code, _, stderr := runWfgen("-format", "summary", "-arrival", "poisson:10")
 	if code != 0 {

@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +76,38 @@ func TestNewValidatesInputs(t *testing.T) {
 	}
 	if _, err := New(engine, Config{N: 5}, nil); err == nil {
 		t.Fatal("expected error for nil LocalState")
+	}
+	// Each of these would panic or run with empty or overfull caches; New
+	// rejects it with an ErrConfig naming the field.
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"CacheCapacity", Config{CacheCapacity: -5}},
+		{"CacheCapacity", Config{CacheCapacity: -1}},
+		{"FanOut", Config{FanOut: -2}},
+		{"CycleSeconds", Config{CycleSeconds: -300}},
+		{"CycleSeconds", Config{CycleSeconds: math.NaN()}},
+		{"CycleSeconds", Config{CycleSeconds: math.Inf(1)}},
+		{"TTL", Config{TTL: -1}},
+		{"TTL", Config{TTL: 256}},
+		{"ExpiryCycles", Config{ExpiryCycles: -1}},
+		{"ExpiryCycles", Config{ExpiryCycles: math.NaN()}},
+		{"EpochCycles", Config{EpochCycles: -3}},
+		{"N", Config{N: 1<<24 + 1}},
+	} {
+		cfg := tc.cfg
+		if cfg.N == 0 {
+			cfg.N = 5
+		}
+		_, err := New(engine, cfg, newFakeGrid(5, 1))
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("New(%+v) = %v, want an ErrConfig naming %s", tc.cfg, err, tc.field)
+		}
+	}
+	// The key limits themselves are fine.
+	if _, err := New(engine, Config{N: 5, TTL: 255}, newFakeGrid(5, 1)); err != nil {
+		t.Fatalf("TTL 255: %v", err)
 	}
 }
 

@@ -40,7 +40,7 @@ type cycleOp struct {
 // parallelCycle is the reusable executor state.
 type parallelCycle struct {
 	ops      []cycleOp
-	ownRecs  []StateRecord  // own record per node, indexed by node id
+	ownLoads []float64      // own record's load per node, indexed by node id
 	aggPairs []int32        // flattened (i, j) aggregation exchanges
 	opCount  []int32        // per-node op counter used while building
 	progress []atomic.Int32 // per-node executed-op counter
@@ -48,9 +48,14 @@ type parallelCycle struct {
 	scratch []pushScratch // per-worker push scratch
 }
 
-func newParallelCycle(n, workers, stride int) *parallelCycle {
+// newParallelCycle sizes the op list and the aggregation pairs for a cycle
+// in which every node is alive: one merge and FanOut pushes, and one
+// exchange, per node.
+func newParallelCycle(n, workers, fanOut, stride int) *parallelCycle {
 	pc := &parallelCycle{
-		ownRecs:  make([]StateRecord, n),
+		ops:      make([]cycleOp, 0, n*(fanOut+1)),
+		ownLoads: make([]float64, n),
+		aggPairs: make([]int32, 0, 2*n),
 		opCount:  make([]int32, n),
 		progress: make([]atomic.Int32, n),
 		scratch:  make([]pushScratch, workers),
@@ -62,11 +67,12 @@ func newParallelCycle(n, workers, stride int) *parallelCycle {
 }
 
 // cycleParallel runs one gossip round with cfg.Workers goroutines,
-// bit-identical to the serial loop in cycle. The epoch restart already ran.
-func (p *Protocol) cycleParallel(now float64) {
+// bit-identical to the serial loop in cycle. The epoch restart already ran
+// and the cycle's mint is in the table.
+func (p *Protocol) cycleParallel(mint uint32, live uint64) {
 	workers := p.cfg.Workers
 	if p.par == nil || len(p.par.scratch) != workers {
-		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.CacheCapacity+1)
+		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.FanOut, p.cfg.CacheCapacity+2)
 	}
 	pc := p.par
 
@@ -84,10 +90,7 @@ func (p *Protocol) cycleParallel(now float64) {
 		if !s.Alive {
 			continue
 		}
-		pc.ownRecs[i] = StateRecord{
-			Node: i, Capacity: s.Capacity, TotalLoadMI: s.TotalLoadMI,
-			Timestamp: now, TTL: p.cfg.TTL,
-		}
+		pc.ownLoads[i] = s.TotalLoadMI
 		seq := pc.opCount[i]
 		pc.opCount[i]++
 		pc.ops = append(pc.ops, cycleOp{from: int32(i), to: int32(i), seqFrom: seq})
@@ -110,9 +113,12 @@ func (p *Protocol) cycleParallel(now float64) {
 
 	// Stage B (parallel): execute the schedule. Worker w owns the ops
 	// whose origin node is congruent to w; it walks them in schedule order
-	// and waits for foreign endpoints to catch up. Progress counters are
-	// written only by the worker executing that node's current op and read
-	// with acquire semantics, so cache mutations are properly published.
+	// and waits for foreign endpoints to catch up. A node's merge and its
+	// pushes are consecutive in the schedule and owned by one worker, so
+	// the forward list that worker builds after the merge serves the
+	// pushes that follow. Progress counters are written only by the worker
+	// executing that node's current op and read with acquire semantics, so
+	// cache mutations are properly published.
 	var msgs, bytes uint64
 	if len(pc.ops) > 0 {
 		var wg sync.WaitGroup
@@ -132,14 +138,16 @@ func (p *Protocol) cycleParallel(now float64) {
 						runtime.Gosched()
 					}
 					if op.to == op.from {
-						p.merge(int(op.from), pc.ownRecs[op.from], now)
+						i := int(op.from)
+						p.mergeOwn(i, record{key: packKey(mint, i, p.cfg.TTL), load: pc.ownLoads[i]})
+						p.loadForward(i, live, scratch)
 						pc.progress[op.from].Store(op.seqFrom + 1)
 						continue
 					}
 					for pc.progress[op.to].Load() != op.seqTo {
 						runtime.Gosched()
 					}
-					b += p.pushInto(int(op.from), int(op.to), now, scratch)
+					b += p.pushInto(int(op.from), int(op.to), live, scratch)
 					m++
 					pc.progress[op.from].Store(op.seqFrom + 1)
 					pc.progress[op.to].Store(op.seqTo + 1)

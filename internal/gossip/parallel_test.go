@@ -38,9 +38,9 @@ func runCycles(t *testing.T, n, workers, cycles int, seed int64) *Protocol {
 }
 
 // checkCacheInvariants asserts that every cache is strictly decreasing by
-// (Timestamp, Node) - eviction order, no duplicate origins - holds at most
-// CacheCapacity records plus the owner's own, and that its fwd and ownTS
-// bookkeeping matches a recount.
+// key - eviction order, no duplicate origins - holds at most CacheCapacity
+// records plus the owner's own, mints at least 1, and that its fwd and
+// ownMint bookkeeping matches a recount.
 func checkCacheInvariants(t *testing.T, p *Protocol, cycle int) {
 	t.Helper()
 	for i, recs := range p.cache {
@@ -48,15 +48,19 @@ func checkCacheInvariants(t *testing.T, p *Protocol, cycle int) {
 			t.Fatalf("workers=%d cycle %d: node %d holds %d records, capacity %d+1",
 				p.cfg.Workers, cycle, i, len(recs), p.cfg.CacheCapacity)
 		}
-		for j := 1; j < len(recs); j++ {
-			if !before(&recs[j-1], &recs[j]) {
+		for j := range recs {
+			if recs[j].mint() == 0 {
+				t.Fatalf("workers=%d cycle %d: node %d record %d has mint 0: %+v",
+					p.cfg.Workers, cycle, i, j, recs[j])
+			}
+			if j > 0 && recs[j-1].key <= recs[j].key {
 				t.Fatalf("workers=%d cycle %d: node %d cache not in eviction order at %d: %+v then %+v",
 					p.cfg.Workers, cycle, i, j, recs[j-1], recs[j])
 			}
 		}
-		if fwd, ownTS := recount(i, recs); p.fwd[i] != fwd || p.ownTS[i] != ownTS {
-			t.Fatalf("workers=%d cycle %d: node %d fwd %d ownTS %v, recomputed %d %v",
-				p.cfg.Workers, cycle, i, p.fwd[i], p.ownTS[i], fwd, ownTS)
+		if fwd, ownMint := recount(i, recs); p.fwd[i] != fwd || p.ownMint[i] != ownMint {
+			t.Fatalf("workers=%d cycle %d: node %d fwd %d ownMint %d, recomputed %d %d",
+				p.cfg.Workers, cycle, i, p.fwd[i], p.ownMint[i], fwd, ownMint)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package gossip
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // pushReference is the origin-order push the eviction-order merge
@@ -89,6 +92,14 @@ func evictReference(to, capacity int, out []StateRecord) []StateRecord {
 	return dst
 }
 
+// fresher reports whether record a supersedes record b about the same
+// origin, the rule pushReference keeps: a later mint time wins, and among
+// equal mints the copy with more forwarding hops left.
+func fresher(a, b StateRecord) bool {
+	return a.Timestamp > b.Timestamp ||
+		(a.Timestamp == b.Timestamp && a.TTL > b.TTL)
+}
+
 const (
 	pushNow    = 3600.0
 	pushExpiry = 1200.0 // the default 4 cycles of 300 s
@@ -96,70 +107,92 @@ const (
 	maxPushCap = 13
 )
 
-// pushHarness is a bare protocol whose caches a test installs directly,
-// plus one push scratch reused across trials, as a cycle reuses it.
+// pushHarness is a protocol from New whose caches a test installs
+// directly, plus one push scratch reused across trials, as a cycle reuses
+// it. mints0 is the length of New's mint table, before any cycle minted.
 type pushHarness struct {
 	p       *Protocol
+	mints0  int
 	scratch pushScratch
 }
 
 func newPushHarness() *pushHarness {
-	p := &Protocol{
-		cfg:     Config{N: pushNodes, CycleSeconds: 300, ExpiryCycles: 4},
-		cache:   make([][]StateRecord, pushNodes),
-		fwd:     make([]int32, pushNodes),
-		ownTS:   make([]float64, pushNodes),
-		version: make([]uint32, pushNodes),
+	p, err := New(sim.NewEngine(), Config{N: pushNodes, CacheCapacity: maxPushCap}, newFakeGrid(pushNodes, 1))
+	if err != nil {
+		panic(err)
 	}
-	return &pushHarness{p: p, scratch: newPushScratch(pushNodes, maxPushCap+1)}
+	if p.expirySeconds() != pushExpiry {
+		panic("push harness: expiry is not the default")
+	}
+	return &pushHarness{p: p, mints0: len(p.mints), scratch: newPushScratch(pushNodes, maxPushCap+2)}
 }
 
-// install sets node's cache to recs in eviction order, with its fwd and
-// ownTS bookkeeping.
-func (h *pushHarness) install(node int, recs []StateRecord) {
-	c := make([]StateRecord, len(recs), max(len(recs), maxPushCap+1))
-	copy(c, recs)
+// stamp rebuilds the mint table from the trial's mint times, in increasing
+// order as the cycles minting them would have, and sets each origin's
+// capacity; it returns the mint of each time. Every copy of an origin must
+// carry the same capacity, as the protocol's records do.
+func (h *pushHarness) stamp(t *testing.T, sides ...[]StateRecord) map[float64]uint32 {
+	t.Helper()
+	var times []float64
+	caps := map[int]float64{}
+	for _, recs := range sides {
+		for _, r := range recs {
+			times = append(times, r.Timestamp)
+			if c, ok := caps[r.Node]; ok && c != r.Capacity {
+				t.Fatalf("harness: origin %d drawn with capacities %v and %v", r.Node, c, r.Capacity)
+			}
+			caps[r.Node] = r.Capacity
+			h.p.capacity[r.Node] = r.Capacity
+		}
+	}
+	slices.Sort(times)
+	h.p.mints = h.p.mints[:h.mints0]
+	mintOf := map[float64]uint32{}
+	for _, at := range slices.Compact(times) {
+		mintOf[at] = h.p.mint(at)
+	}
+	return mintOf
+}
+
+// install sets node's cache to recs, packed and in eviction order, with
+// its fwd and ownMint bookkeeping.
+func (h *pushHarness) install(node int, recs []StateRecord, mintOf map[float64]uint32) {
+	c := make([]record, len(recs), max(len(recs)+1, maxPushCap+2))
+	for i, r := range recs {
+		c[i] = record{key: packKey(mintOf[r.Timestamp], r.Node, r.TTL), load: r.TotalLoadMI}
+	}
 	sortEviction(c)
 	h.p.cache[node] = c
-	h.p.fwd[node], h.p.ownTS[node] = recount(node, c)
+	h.p.fwd[node], h.p.ownMint[node] = recount(node, c)
 }
 
-func sortEviction(recs []StateRecord) {
-	slices.SortFunc(recs, func(a, b StateRecord) int {
-		switch {
-		case before(&a, &b):
-			return -1
-		case before(&b, &a):
-			return 1
-		}
-		return 0
-	})
+func sortEviction(recs []record) {
+	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(b.key, a.key) })
 }
 
 func sortOrigin(recs []StateRecord) {
 	slices.SortFunc(recs, func(a, b StateRecord) int { return a.Node - b.Node })
 }
 
-// recount recomputes fwd and ownTS from node's cache.
-func recount(node int, recs []StateRecord) (fwd int32, ownTS float64) {
-	ownTS = math.Inf(-1)
+// recount recomputes fwd and ownMint from node's cache.
+func recount(node int, recs []record) (fwd int32, ownMint uint32) {
 	for _, r := range recs {
-		if r.TTL > 0 {
+		if r.hops() > 0 {
 			fwd++
 		}
-		if r.Node == node {
-			ownTS = r.Timestamp
+		if r.origin() == node {
+			ownMint = r.mint()
 		}
 	}
-	return fwd, ownTS
+	return fwd, ownMint
 }
 
-// checkEvictionOrder fails unless recs is strictly decreasing by
-// (Timestamp, Node), which also rules out duplicate origins.
-func checkEvictionOrder(t *testing.T, what string, recs []StateRecord) {
+// checkEvictionOrder fails unless recs' keys strictly decrease, which also
+// rules out duplicate origins.
+func checkEvictionOrder(t *testing.T, what string, recs []record) {
 	t.Helper()
 	for j := 1; j < len(recs); j++ {
-		if !before(&recs[j-1], &recs[j]) {
+		if recs[j-1].key <= recs[j].key {
 			t.Fatalf("%s: not in eviction order at %d: %+v then %+v", what, j, recs[j-1], recs[j])
 		}
 	}
@@ -175,14 +208,20 @@ func (h *pushHarness) check(t *testing.T, what string, capacity, from, to int, s
 
 	p := h.p
 	p.cfg.CacheCapacity = capacity
-	h.install(from, src)
-	h.install(to, dst)
+	mintOf := h.stamp(t, src, dst)
+	h.install(from, src, mintOf)
+	h.install(to, dst, mintOf)
 	srcBefore := slices.Clone(p.cache[from])
 	version := p.version[to]
-	bytes := p.pushInto(from, to, pushNow, &h.scratch)
+	live := p.liveKey(pushNow)
+	p.loadForward(from, live, &h.scratch)
+	bytes := p.pushInto(from, to, live, &h.scratch)
 
-	got := slices.Clone(p.cache[to])
-	checkEvictionOrder(t, what, got)
+	checkEvictionOrder(t, what, p.cache[to])
+	got := make([]StateRecord, 0, len(p.cache[to]))
+	for _, r := range p.cache[to] {
+		got = append(got, p.stateRecord(r))
+	}
 	sortOrigin(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s (from %d, to %d, cap %d):\nsrc  %+v\ndst  %+v\ngot  %+v\nwant %+v",
@@ -191,8 +230,8 @@ func (h *pushHarness) check(t *testing.T, what string, capacity, from, to int, s
 	if bytes != wantBytes {
 		t.Fatalf("%s: %d bytes sent, want %d", what, bytes, wantBytes)
 	}
-	if fwd, ownTS := recount(to, p.cache[to]); p.fwd[to] != fwd || p.ownTS[to] != ownTS {
-		t.Fatalf("%s: fwd %d ownTS %v, recomputed %d %v", what, p.fwd[to], p.ownTS[to], fwd, ownTS)
+	if fwd, ownMint := recount(to, p.cache[to]); p.fwd[to] != fwd || p.ownMint[to] != ownMint {
+		t.Fatalf("%s: fwd %d ownMint %d, recomputed %d %d", what, p.fwd[to], p.ownMint[to], fwd, ownMint)
 	}
 	if p.version[to] != version+1 {
 		t.Fatalf("%s: version bumped %d times, want once", what, p.version[to]-version)
@@ -220,7 +259,8 @@ type pushTrial struct {
 
 // drawTrial draws a push over a universe of origins small enough that the
 // two caches overlap heavily. stamp draws a mint time; owner places the
-// receiver's own record.
+// receiver's own record. Each origin draws one capacity, which every copy
+// of its record carries.
 func drawTrial(rng *rand.Rand, stamp func() float64, owner int) pushTrial {
 	capacity := 1 + rng.Intn(maxPushCap)
 	if rng.Intn(3) == 0 {
@@ -237,21 +277,23 @@ func drawTrial(rng *rand.Rand, stamp func() float64, owner int) pushTrial {
 		}
 		hasSrc := rng.Float64() < inSrc && len(tr.src) < capacity
 		hasDst := rng.Float64() < inDst && len(tr.dst) < capacity
+		c := float64(1 + rng.Intn(16))
 		var d StateRecord
 		if hasDst {
-			d = StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), Capacity: float64(1 + rng.Intn(16))}
+			d = StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), Capacity: c}
 			tr.dst = append(tr.dst, d)
 		}
 		if hasSrc {
-			s := StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), TotalLoadMI: float64(rng.Intn(100))}
+			s := StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), Capacity: c, TotalLoadMI: float64(rng.Intn(100))}
 			if hasDst && rng.Intn(2) == 0 {
 				s.Timestamp = d.Timestamp // the same minting on both sides
 			}
 			tr.src = append(tr.src, s)
 		}
 	}
+	ownCap := float64(1 + rng.Intn(16))
 	own := func(ts float64) StateRecord {
-		return StateRecord{Node: tr.to, Timestamp: ts, TTL: rng.Intn(5), TotalLoadMI: float64(rng.Intn(100))}
+		return StateRecord{Node: tr.to, Timestamp: ts, TTL: rng.Intn(5), Capacity: ownCap, TotalLoadMI: float64(rng.Intn(100))}
 	}
 	live := func() float64 { return pushNow - 300*float64(rng.Intn(5)) }
 	expired := func() float64 { return pushNow - pushExpiry - 1 - 300*float64(rng.Intn(2)) }
@@ -272,7 +314,7 @@ func drawTrial(rng *rand.Rand, stamp func() float64, owner int) pushTrial {
 	return tr
 }
 
-// TestPushMatchesReference pins the eviction-order merge to the
+// TestPushMatchesReference pins the packed eviction-order merge to the
 // origin-order merge plus per-victim eviction it replaced: the same
 // receiver record set, the same bytes sent, over mint-time families that
 // stress ties, expiry and every placement of the owner's record.
@@ -310,7 +352,9 @@ func TestPushMatchesReference(t *testing.T) {
 // following three-byte group adds one origin's records: the origin and its
 // side (sender, receiver, both with one minting, or both with the
 // receiver's a cycle older), the two TTLs, and a mint time (the cycle
-// grid, the expiry boundary, or a continuous age). The seed corpus in
+// grid, the expiry boundary, or a continuous age); the origin's first
+// group also sets its capacity. The harness maps the mint times to mints
+// in increasing order. The seed corpus in
 // testdata/fuzz/FuzzPush covers each mint-time family, capacities 1-13,
 // every placement of the owner's record and same-minting TTL pairs.
 func FuzzPush(f *testing.F) {
@@ -329,12 +373,17 @@ func FuzzPush(f *testing.F) {
 		to := next() % universe
 		from := (to + 1 + next()%(universe-1)) % universe
 		var src, dst []StateRecord
+		var caps [universe]float64
 		has := func(recs []StateRecord, o int) bool {
 			return slices.ContainsFunc(recs, func(r StateRecord) bool { return r.Node == o })
 		}
 		for len(data) > 0 {
 			a, b, c := next(), next(), next()
-			rec := StateRecord{Node: a % universe, TTL: b % 5, Capacity: float64(1 + c%16)}
+			o := a % universe
+			if caps[o] == 0 {
+				caps[o] = float64(1 + c%16) // the origin's first group draws its capacity
+			}
+			rec := StateRecord{Node: o, TTL: b % 5, Capacity: caps[o]}
 			switch sel := c % 3; sel {
 			case 0:
 				rec.Timestamp = pushNow - 300*float64(c/3%7)

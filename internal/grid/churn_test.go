@@ -413,3 +413,48 @@ func TestRecordAgeGrowsWithStaleness(t *testing.T) {
 		t.Fatalf("record age about %d: %v -> %v (ok=%v), want %v", origin, age0, age1, ok, age0+600)
 	}
 }
+
+// TestRSSViewCarriesOriginStateUnderChurn pins what a gossip record can
+// tell a scheduler through churn, revival and rescheduling: its capacity
+// is always its origin's node capacity, and its timestamp one of the
+// gossip cycle's instants no older than the expiry window.
+func TestRSSViewCarriesOriginStateUnderChurn(t *testing.T) {
+	engine := sim.NewEngine()
+	algo := Algorithm{Label: "spread", Phase1: &spreadPhase1{}, Phase2: fcfsPhase2{}}
+	g, err := New(engine, Config{Nodes: 40, Seed: 321, RescheduleFailed: true}, algo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for home := 0; home < 20; home++ {
+		if _, err := g.Submit(home, twoTaskChain(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.StartChurn(ChurnConfig{DynamicFactor: 0.3, StableCount: 10, Seed: 9}); err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	gc := g.Gossip.Config()
+	expiry := gc.ExpiryCycles * gc.CycleSeconds
+	seen := 0
+	check := func(now float64) {
+		for i := range g.Nodes {
+			for _, rec := range g.RSSView(i) {
+				seen++
+				if want := g.Nodes[rec.Node].Capacity; rec.Capacity != want {
+					t.Fatalf("t=%.0f node %d: record of %d carries capacity %v, node has %v",
+						now, i, rec.Node, rec.Capacity, want)
+				}
+				if math.Mod(rec.Timestamp, gc.CycleSeconds) != 0 || rec.Timestamp > now || now-rec.Timestamp > expiry {
+					t.Fatalf("t=%.0f node %d: record of %d minted at %v, not a live cycle instant",
+						now, i, rec.Node, rec.Timestamp)
+				}
+			}
+		}
+	}
+	engine.Every(450, 450, func(now float64) { check(now) })
+	engine.RunUntil(12 * 3600)
+	if seen == 0 {
+		t.Fatal("no node ever held a record")
+	}
+}

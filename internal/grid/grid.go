@@ -261,13 +261,14 @@ func New(engine sim.Host, cfg Config, algo Algorithm) (*Grid, error) {
 		}
 		g.estimator = lm
 	}
+	sampleBuf := make([]int, 0, 3*max(1, stats.Log2Ceil(n)))
 	for i := 0; i < n; i++ {
 		g.Nodes[i] = Node{
 			ID:       i,
 			Capacity: stats.Choice(g.rng, cfg.Capacities),
 			Alive:    true,
 		}
-		g.Nodes[i].BandwidthObs = g.bandwidthObservation(i)
+		g.Nodes[i].BandwidthObs = g.bandwidthObservation(i, sampleBuf)
 	}
 	g.refreshTrueAverages()
 
@@ -292,10 +293,11 @@ func New(engine sim.Host, cfg Config, algo Algorithm) (*Grid, error) {
 
 // bandwidthObservation is a node's local sense of typical end-to-end
 // bandwidth: the mean of its measurements to the landmark set (or to a
-// random sample under the oracle estimator).
-func (g *Grid) bandwidthObservation(node int) float64 {
+// random sample under the oracle estimator). buf is the sample's scratch,
+// of capacity 3·log2(n).
+func (g *Grid) bandwidthObservation(node int, buf []int) float64 {
 	sampleN := max(1, stats.Log2Ceil(g.Net.N()))
-	targets := stats.SampleWithout(g.rng, g.Net.N(), sampleN, node)
+	targets := stats.SampleWithoutInto(g.rng, g.Net.N(), sampleN, node, buf)
 	var sum float64
 	var cnt int
 	for _, t := range targets {

@@ -16,6 +16,7 @@ package loadspec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/workload/arrival"
 	"repro/internal/workload/mining"
@@ -111,13 +112,16 @@ func ResolveOptions(o Options) (Spec, error) {
 		return Spec{}, fmt.Errorf("-trace combines only with -arrival trace (or no -arrival), not %q", arrivalSpec)
 	}
 	if traceScale != 0 && traceScale != 1 {
-		if traceScale < 0 {
-			return Spec{}, fmt.Errorf("-trace-scale must be positive, got %v", traceScale)
+		if !(traceScale > 0) || math.IsInf(traceScale, 1) {
+			return Spec{}, fmt.Errorf("-trace-scale must be positive and finite, got %v", traceScale)
 		}
 		if out.Trace == nil {
 			return Spec{}, fmt.Errorf("-trace-scale needs a trace (-trace FILE, -arrival trace or -model FILE)")
 		}
 		out.Trace = out.Trace.Scale(traceScale)
+		if math.IsInf(out.Trace.Span(), 1) {
+			return Spec{}, fmt.Errorf("-trace-scale %v overflows the trace's last submit time", traceScale)
+		}
 	}
 	return out, nil
 }

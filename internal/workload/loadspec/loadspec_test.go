@@ -1,6 +1,7 @@
 package loadspec
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,10 @@ func TestResolveErrors(t *testing.T) {
 		{"poisson:nope", "", 1, "poisson"},
 		{"poisson:60", "sample", 1, "-trace combines only with -arrival trace"},
 		{"trace", "sample", -2, "-trace-scale must be positive"},
+		{"trace", "sample", math.NaN(), "-trace-scale must be positive"},
+		{"trace", "sample", math.Inf(1), "-trace-scale must be positive"},
+		{"trace", "sample", math.Inf(-1), "-trace-scale must be positive"},
+		{"trace", "sample", math.MaxFloat64, "overflows"},
 		{"poisson:60", "", 0.5, "-trace-scale needs a trace"},
 		{"", "no-such-file.swf", 1, "no-such-file.swf"},
 	}
