@@ -265,6 +265,22 @@ func TestDetectCPUNeverPanics(t *testing.T) {
 	t.Logf("detected CPU model: %q", model)
 }
 
+// TestCommittedBaselineMatchesRecordingHost loads the committed
+// BENCH_baseline.json and resolves the model name detectCPU reads on the
+// host the baselines are recorded on (a 2-vCPU Xeon @ 2.10GHz, whose
+// /proc/cpuinfo omits the clock): it must select the per-CPU entry, not
+// the calibrated fallback.
+func TestCommittedBaselineMatchesRecordingHost(t *testing.T) {
+	b, err := loadBaseline("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	note, fallback := b.resolve("Intel(R) Xeon(R) Processor")
+	if fallback || !strings.HasPrefix(note, "per-CPU baseline") {
+		t.Fatalf("recording host resolved to %q (fallback %v), want its per-CPU entry", note, fallback)
+	}
+}
+
 const calibratedBaselineJSON = `{
   "schema": "p2pgridsim/bench-baseline/v3",
   "benchmark": "BenchmarkSingleDSMFRun",

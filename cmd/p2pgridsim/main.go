@@ -6,6 +6,15 @@
 //
 //	p2pgridsim -experiment <name> [-scale paper|small|tiny] [-seed N] [-reps N]
 //
+// One table in this file says which flags each experiment and mode
+// reads, and -h names them for every flag. A flag that the selected
+// experiment or mode does not read is an error, never silently ignored.
+// Exit codes: 2 for a flag error (an unknown, misplaced or malformed
+// flag, a -trace or -model file that does not load, or a stray argument),
+// reported before any work starts; 1 when the run fails (an unknown
+// -experiment, -scale or -algo name, a file the run cannot read or write,
+// a failed run); 0 otherwise.
+//
 // Experiments:
 //
 //	table1        print Table I (experimental setting)
@@ -52,8 +61,8 @@
 // DBC-cost / DBC-time / DBC-ct algorithms (usable with -experiment single
 // -algo) schedule against those contracts; everything else runs
 // best-effort and merely gets measured against them (deadline-miss and
-// spend metrics appear in snapshots and sweep JSON whenever the economy
-// is active; see internal/economy).
+// spend metrics appear in snapshots and sweep JSON whenever pricing or a
+// contract is active; see internal/economy).
 //
 // The sweep experiment expands a declarative scenario matrix (axes from
 // -axes: algo, churn, lf, ccr, scale, arrival, sla), replicates every cell over -reps
@@ -114,6 +123,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,11 +143,13 @@ func main() {
 	os.Exit(cliMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// options carries the parsed command line; stdout/stderr indirection keeps
-// every error path testable without spawning a subprocess.
+// options carries the parsed command line, one field per flag (see flags);
+// stdout/stderr indirection keeps every error path testable without
+// spawning a subprocess.
 type options struct {
 	experiment string
-	scale      experiments.Scale
+	scaleName  string
+	scale      experiments.Scale // resolved from scaleName
 	seed       int64
 	algo       string
 	maxLF      int
@@ -146,43 +158,306 @@ type options struct {
 	axes       string
 	out        string
 	artifacts  string
-	shard      string  // "i/n": run only one job-ID shard of the sweep
-	merge      string  // comma-separated shard files to merge (no simulation)
-	cacheDir   string  // warm-start cell cache directory
-	precision  float64 // adaptive replication target (0 = off)
-	coordinate string  // work-stealing coordinator directory for the sweep
-	worker     string  // drain an existing work directory instead of running an experiment
+	shard      string
+	merge      string
+	cacheDir   string
+	precision  float64
+	coordinate string
+	worker     string
 
-	sleepPerJob time.Duration // artificial per-replication delay (worker test hook)
-	leaseTTL    time.Duration // work-unit lease expiry recorded at -coordinate init
+	sleepPerJob time.Duration
+	leaseTTL    time.Duration
 
-	arrival    string  // arrival process (batch|poisson:R|mmpp:R[:B]|diurnal:R[:P]|trace)
-	tracePath  string  // SWF trace file ("sample" = the bundled demo trace)
-	traceScale float64 // submit-time multiplier compressing/stretching the trace
-	model      string  // fitted workload-model artifact (wfgen -fit output)
-	synth      int     // -model synthesis job count (0 = the model's fitted count)
+	arrival    string
+	tracePath  string
+	traceScale float64
+	model      string
+	synth      int
 
-	sla   string // SLA contract spec (none|deadline:F|budget:F|both:DF:BF)
-	price string // pricing model (none|RATE[:SPREAD])
+	sla   string
+	price string
 
-	cacheGC     bool    // run a cache GC pass instead of an experiment
-	cacheBudget int64   // GC size budget in MB (0 = no size bound)
-	cacheDays   float64 // GC max entry age in days (0 = no age bound)
+	cacheGC     bool
+	cacheBudget int64
+	cacheDays   float64
 
-	shards int // gossip-cycle workers per simulation (<= 1: serial cycle)
+	shards int
 
-	serve       string  // run the scheduler daemon on this address instead of an experiment
-	pace        float64 // -serve wall-clock pacing (virtual s per wall s; 0 = virtual clock)
-	maxInFlight int     // -serve admission bound on unfinished workflows
+	serve       string
+	pace        float64
+	maxInFlight int
 
-	traceOut  string // write the single run's Chrome trace-event JSON here
-	gantt     bool   // print an ASCII Gantt chart after -experiment single
-	obs       bool   // collect per-cell latency histograms in the sweep JSON
-	logLevel  string // structured log level for -serve/-worker/-coordinate
-	logFormat string // structured log format (text|json)
-	pprofOn   bool   // expose /debug/pprof on the -serve daemon
+	cpuProfile string
+	memProfile string
+	traceOut   string
+	gantt      bool
+	obs        bool
+	logLevel   string
+	logFormat  string
+	pprofOn    bool
 
 	stdout, stderr io.Writer
+}
+
+// flags declares every flag once, bound to its options field. Each usage
+// ends with where the flag applies, generated from the scope tables.
+func (o *options) flags(stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("p2pgridsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.experiment, "experiment", "fig4-6", "experiment to run (see package doc)")
+	fs.StringVar(&o.scaleName, "scale", "small", "paper|small|tiny")
+	fs.Int64Var(&o.seed, "seed", 2010, "root random seed")
+	fs.StringVar(&o.algo, "algo", "DSMF", "scheduling algorithm")
+	fs.IntVar(&o.maxLF, "maxlf", 8, "largest load factor on the load-factor axis")
+	fs.IntVar(&o.reps, "reps", 1, "seed replications (error bars need > 1)")
+	fs.StringVar(&o.axes, "axes", "algo", "comma-separated sweep axes: algo,churn,lf,ccr,arrival,sla,scale")
+	fs.StringVar(&o.out, "out", "", "write sweep JSON to this file (default: stdout)")
+	fs.StringVar(&o.shard, "shard", "", "run only shard i/n of the sweep job matrix (e.g. 0/2) and emit a mergeable partial result")
+	fs.StringVar(&o.merge, "merge", "", "comma-separated shard JSON files to merge into the full sweep result (no simulation)")
+	fs.StringVar(&o.coordinate, "coordinate", "", "run the sweep through this shared work-stealing directory: init, participate as a worker, then merge (see package doc)")
+	fs.StringVar(&o.worker, "worker", "", "drain the sweep work directory DIR (created by -coordinate) instead of running an experiment")
+	fs.DurationVar(&o.sleepPerJob, "sleep-per-job", 0, "test hook: sleep this long before every replication (makes the worker slow enough to be stolen from)")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 2*time.Minute, "work-unit lease expiry recorded when -coordinate initializes a directory; workers heartbeat between replications, so set it comfortably above the longest single replication (crashed or wedged workers' cells are re-leased and re-run after this long without progress)")
+	fs.StringVar(&o.cacheDir, "cache", "", "warm-start cell cache directory: re-runs execute only cells missing from it")
+	fs.Float64Var(&o.precision, "precision", 0, "per-cell adaptive replication: each cell draws seeds until its ACT 95% CI half-width is under this fraction of its mean (an explicit -reps caps every cell)")
+	fs.StringVar(&o.arrival, "arrival", "", "arrival process: batch|poisson:RATE|mmpp:RATE[:BURST]|diurnal:RATE[:PERIODH]|trace (rates in workflows/hour)")
+	fs.StringVar(&o.sla, "sla", "", "SLA contract: none|deadline:FACTOR|budget:FACTOR|both:DF:BF (factors scale the critical path / cheapest-feasible cost)")
+	fs.StringVar(&o.price, "price", "", "pricing model: none|RATE[:SPREAD] (capacity-proportional per-MI rates, ±SPREAD jitter)")
+	fs.StringVar(&o.tracePath, "trace", "", "SWF/GWF trace file for trace replay (\"sample\" = the bundled demo trace)")
+	fs.Float64Var(&o.traceScale, "trace-scale", 1, "multiply trace submit times by this factor (compress a multi-day trace into the horizon)")
+	fs.StringVar(&o.model, "model", "", "synthesize the workload from this fitted model artifact (wfgen -fit output); replaces -arrival/-trace")
+	fs.IntVar(&o.synth, "synth", 0, "number of jobs to synthesize from -model (0 = the model's fitted count)")
+	fs.BoolVar(&o.cacheGC, "cache-gc", false, "garbage-collect the -cache directory (needs -cache-budget and/or -cache-days) and exit")
+	fs.Int64Var(&o.cacheBudget, "cache-budget", 0, "cache GC size budget in MB, oldest-access entries dropped first (0 = no size bound)")
+	fs.Float64Var(&o.cacheDays, "cache-days", 0, "cache GC max entry age in days (0 = no age bound)")
+	fs.IntVar(&o.shards, "shards", 1, "parallel workers for each gossip cycle of a simulation (bit-identical results at any value); the replay pays only on large grids: on 2 vCPUs, 2 workers ran at 0.93x of serial at 1,000 nodes and 1.50-1.77x faster at 100,000")
+	fs.StringVar(&o.serve, "serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API")
+	fs.Float64Var(&o.pace, "pace", 0, "wall-clock pacing: virtual seconds advanced per wall second (0 = deterministic virtual clock, advanced only via POST /v1/clock/advance)")
+	fs.IntVar(&o.maxInFlight, "max-inflight", 256, "admission bound: submissions beyond this many unfinished workflows are shed with 429 + Retry-After")
+	fs.StringVar(&o.artifacts, "artifacts", "", "directory for CSV/DAT/gnuplot artifacts")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's span timeline as Chrome trace-event JSON to this file (load it in Perfetto or chrome://tracing)")
+	fs.BoolVar(&o.gantt, "gantt", false, "print an ASCII Gantt chart of per-node activity after the run")
+	fs.BoolVar(&o.obs, "obs", false, "collect virtual-time latency histograms per sweep cell and embed distribution summaries in the sweep JSON")
+	fs.StringVar(&o.logLevel, "log-level", "", "structured log level: debug|info|warn|error (default info)")
+	fs.StringVar(&o.logFormat, "log-format", "", "structured log format: text|json (default text)")
+	fs.BoolVar(&o.pprofOn, "pprof", false, "expose /debug/pprof profiling handlers on the daemon (off: those paths 404)")
+	fs.VisitAll(func(f *flag.Flag) { f.Usage += "; " + scopeHelp(f.Name) })
+	return fs
+}
+
+// Flag groups the scope tables share. Every experiment reads common:
+// table1 and fig3 ignore -scale and -seed, but one invocation shape then
+// runs any experiment. matrix is what every sweep that expands its
+// scenario matrix reads.
+const (
+	common   = "experiment scale seed cpuprofile memprofile"
+	traceSrc = "trace trace-scale model synth"
+	matrix   = common + " axes reps maxlf arrival sla price " + traceSrc
+)
+
+// A mode is a context selected by its own flag taking a value other than
+// its default: one of modes in place of an experiment, or one or more
+// sweepModes of -experiment sweep. reads lists every flag it reads, its
+// own included.
+type mode struct {
+	flag, reads string
+	run         func(options) error // nil for a sweep mode: runSweep dispatches those
+}
+
+// modes run instead of an experiment. The daemon takes its workloads over
+// HTTP, a worker its whole configuration from the work directory, and the
+// cache GC runs nothing.
+var modes = []mode{
+	{flag: "serve", run: runServe, reads: "serve scale seed algo shards price pace max-inflight pprof log-level log-format"},
+	{flag: "worker", run: runWorker, reads: "worker cache sleep-per-job log-level log-format"},
+	{flag: "cache-gc", run: runCacheGC, reads: "cache-gc cache cache-budget cache-days"},
+}
+
+// sweepModes narrow -experiment sweep. Merging never simulates. A shard
+// runs one job range, so it has no complete cells to export, and adaptive
+// batches need the whole matrix. The work directory fixes the matrix and
+// its replications, and its workers run serial gossip cycles. Shard
+// partials, the cell cache and the work directory carry no distribution
+// blocks, so -obs keeps to the plain path.
+var sweepModes = []mode{
+	{flag: "merge", reads: common + " merge out artifacts"},
+	{flag: "shard", reads: matrix + " shard out shards cache"},
+	{flag: "coordinate", reads: matrix + " coordinate out artifacts cache lease-ttl sleep-per-job log-level log-format"},
+	{flag: "precision", reads: matrix + " precision out artifacts shards cache"},
+	{flag: "obs", reads: matrix + " obs out artifacts shards"},
+}
+
+// reads reports whether the space-separated flag list names f.
+func reads(list, f string) bool { return slices.Contains(strings.Fields(list), f) }
+
+// takes renders what m reads besides its own flag, for scope errors and -h.
+func (m mode) takes() string {
+	var names []string
+	for _, f := range strings.Fields(m.reads) {
+		if f != m.flag {
+			names = append(names, "-"+f)
+		}
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// checkScopes rejects the first set flag that the selected experiment or
+// mode does not read, and returns the selected mode of modes, if any.
+// With several modes or sweep modes selected, each must read every set
+// flag. An unknown experiment is left to dispatch.
+func checkScopes(fs *flag.FlagSet) (*mode, error) {
+	selected := func(ms []mode) (on []mode) {
+		for _, m := range ms {
+			if f := fs.Lookup(m.flag); f.Value.String() != f.DefValue {
+				on = append(on, m)
+			}
+		}
+		return on
+	}
+	name := fs.Lookup("experiment").Value.String()
+	ctx := selected(modes)
+	if len(ctx) == 0 && name == "sweep" {
+		ctx = selected(sweepModes)
+	}
+	if len(ctx) == 0 {
+		var list []string
+		for _, e := range experimentTable {
+			if e.name == name || name == "all" && e.inAll {
+				list = append(list, e.reads)
+			}
+		}
+		if list == nil {
+			return nil, nil
+		}
+		ctx = []mode{{reads: strings.Join(list, " ")}}
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, m := range ctx {
+			if err != nil || reads(m.reads, f.Name) {
+				continue
+			}
+			if m.flag == "" {
+				err = fmt.Errorf("-%s only applies to %s", f.Name, appliesTo(f.Name))
+			} else {
+				err = fmt.Errorf("-%s does not combine with -%s, which takes only %s", f.Name, m.flag, m.takes())
+			}
+		}
+	})
+	if ctx[0].run == nil {
+		return nil, err
+	}
+	return &ctx[0], err
+}
+
+// appliesTo names every context that reads flag f: the experiments in
+// table order, the sweep modes that read it where a plain sweep does not,
+// and the modes.
+func appliesTo(f string) string {
+	var exps, where []string
+	for _, e := range experimentTable {
+		if reads(e.reads, f) {
+			exps = append(exps, e.name)
+		}
+	}
+	switch len(exps) {
+	case 0:
+	case len(experimentTable):
+		where = append(where, "every experiment")
+	default:
+		where = append(where, "-experiment "+exps[0])
+		where = append(where, exps[1:]...)
+	}
+	if !reads(lookupExperiment("sweep").reads, f) {
+		for _, m := range sweepModes {
+			if reads(m.reads, f) {
+				where = append(where, "-experiment sweep -"+m.flag)
+			}
+		}
+	}
+	for _, m := range modes {
+		if reads(m.reads, f) {
+			where = append(where, "-"+m.flag)
+		}
+	}
+	if len(where) < 2 {
+		return strings.Join(where, "")
+	}
+	return strings.Join(where[:len(where)-1], ", ") + " and " + where[len(where)-1]
+}
+
+// scopeHelp is the clause flags appends to f's usage: where f applies and,
+// for the flag of a mode, what it combines with.
+func scopeHelp(f string) string {
+	for _, m := range modes {
+		if m.flag == f {
+			return "combines only with " + m.takes()
+		}
+	}
+	for _, m := range sweepModes {
+		if m.flag == f {
+			return "applies to -experiment sweep; combines only with " + m.takes()
+		}
+	}
+	return "applies to " + appliesTo(f)
+}
+
+// validate applies the rules that depend on a flag's value rather than on
+// where it is set. Like a scope error, a failure exits 2 before any work
+// starts.
+func (o *options) validate() error {
+	switch {
+	case o.reps < 1:
+		return fmt.Errorf("-reps must be at least 1, got %d", o.reps)
+	case o.pace < 0:
+		return fmt.Errorf("-pace must be non-negative, got %v", o.pace)
+	case o.maxInFlight < 1:
+		return fmt.Errorf("-max-inflight must be at least 1, got %d", o.maxInFlight)
+	case o.leaseTTL <= 0:
+		return fmt.Errorf("-lease-ttl must be positive, got %v", o.leaseTTL)
+	case o.sleepPerJob < 0:
+		return fmt.Errorf("-sleep-per-job must be non-negative, got %v", o.sleepPerJob)
+	case !(o.precision >= 0):
+		return fmt.Errorf("-precision must be non-negative, got %v", o.precision)
+	case o.cacheBudget < 0 || !(o.cacheDays >= 0):
+		return fmt.Errorf("-cache-budget and -cache-days must be non-negative")
+	case o.cacheGC && o.cacheDir == "":
+		return fmt.Errorf("-cache-gc needs -cache DIR")
+	case o.cacheGC && o.cacheBudget == 0 && o.cacheDays == 0:
+		return fmt.Errorf("-cache-gc needs a bound: -cache-budget MB and/or -cache-days N")
+	case o.arrival != "" && hasAxis(o.axes, "arrival"):
+		return fmt.Errorf("-arrival does not combine with -axes arrival (the axis is the intensity ladder); use -trace to add a replay cell")
+	case (o.sla != "" || o.price != "") && hasAxis(o.axes, "sla"):
+		return fmt.Errorf("-sla/-price do not combine with -axes sla (the axis carries its own ladder and pricing)")
+	}
+	if o.shard != "" {
+		if _, _, err := parseShard(o.shard); err != nil {
+			return err
+		}
+	}
+	if _, err := obs.NewLogger(io.Discard, o.logLevel, o.logFormat); err != nil {
+		return err
+	}
+	// A malformed spec, unreadable trace or bad model fails here, before
+	// any work starts.
+	if _, _, err := o.arrivalSetup(); err != nil {
+		return err
+	}
+	_, _, err := o.economySetup()
+	return err
+}
+
+// hasAxis reports whether the -axes list names axis.
+func hasAxis(axes, axis string) bool {
+	for _, ax := range strings.Split(axes, ",") {
+		if strings.TrimSpace(ax) == axis {
+			return true
+		}
+	}
+	return false
 }
 
 // economySetup resolves the -sla/-price flags into the specs experiments
@@ -222,120 +497,14 @@ func (o options) arrivalSetup() (arrival.Spec, *traces.Trace, error) {
 	return sp.Arrival, sp.Trace, nil
 }
 
-// modeFlags maps each flag that selects a mode other than running an
-// experiment to the flags that combine with it; checkFlagScopes rejects
-// any other flag instead of ignoring it. The daemon takes its workloads
-// over HTTP, a worker its whole configuration from the work directory,
-// and the cache GC runs nothing. The -serve help text reads its list here.
-var modeFlags = map[string]map[string]bool{
-	"serve": {
-		"scale": true, "algo": true, "seed": true, "shards": true, "price": true,
-		"pace": true, "max-inflight": true,
-		"log-level": true, "log-format": true, "pprof": true,
-	},
-	"worker":   {"sleep-per-job": true, "cache": true, "log-level": true, "log-format": true},
-	"cache-gc": {"cache": true, "cache-budget": true, "cache-days": true},
-}
-
-// sweepOnlyFlags configure -experiment sweep alone; every other
-// experiment rejects them. A mode's own list overrides this one (-worker
-// and -cache-gc take -cache).
-var sweepOnlyFlags = map[string]bool{
-	"axes": true, "out": true, "shard": true, "merge": true, "precision": true,
-	"coordinate": true, "cache": true, "obs": true,
-}
-
-// modeOnlyFlags maps the flags that only one mode reads to that mode.
-var modeOnlyFlags = map[string]string{
-	"pace": "serve", "max-inflight": "serve", "pprof": "serve",
-	"cache-budget": "cache-gc", "cache-days": "cache-gc",
-}
-
-// checkFlagScopes rejects a flag the selected mode or experiment would
-// ignore. A mode flag counts as selected when its value differs from its
-// default.
-func checkFlagScopes(fs *flag.FlagSet, setFlags []string, experiment string) error {
-	mode := ""
-	for _, f := range setFlags {
-		allowed := modeFlags[f]
-		if fl := fs.Lookup(f); allowed == nil || fl.Value.String() == fl.DefValue {
-			continue
-		}
-		for _, g := range setFlags {
-			if g != f && !allowed[g] {
-				return fmt.Errorf("-%s does not combine with -%s, which takes only %s", g, f, flagList(allowed))
-			}
-		}
-		mode = f
-	}
-	for _, f := range setFlags {
-		if m, ok := modeOnlyFlags[f]; ok && m != mode {
-			return fmt.Errorf("-%s only applies to -%s", f, m)
-		}
-		if mode == "" && sweepOnlyFlags[f] && experiment != "sweep" {
-			return fmt.Errorf("-%s only applies to -experiment sweep", f)
-		}
-	}
-	return nil
-}
-
-// flagList renders a flag set as "-a, -b, -c" in sorted order.
-func flagList(flags map[string]bool) string {
-	names := make([]string, 0, len(flags))
-	for f := range flags {
-		names = append(names, "-"+f)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// cliMain parses args and runs the selected experiment, returning the
-// process exit code. Every failure path returns non-zero: flag errors and
-// stray positional arguments exit 2, experiment errors exit 1.
+// cliMain parses args and runs the selected experiment or mode, returning
+// the process exit code. Every failure path returns non-zero. Flag errors
+// exit 2 before any work starts: an unknown flag, a stray positional
+// argument, a flag that the selected experiment or mode does not read,
+// and a malformed or out-of-range value. Run errors exit 1.
 func cliMain(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("p2pgridsim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		name    = fs.String("experiment", "fig4-6", "experiment to run (see package doc)")
-		scale   = fs.String("scale", "small", "paper|small|tiny")
-		seed    = fs.Int64("seed", 2010, "root random seed")
-		algo    = fs.String("algo", "DSMF", "algorithm for -experiment single")
-		maxLF   = fs.Int("maxlf", 8, "largest load factor for fig7-8 and the sweep lf axis")
-		reps    = fs.Int("reps", 1, "seed replications for fig4-6, fcfs, fig7-8, fig9-10, fig11, arrival, sla, fig12-14, reschedule and sweep (error bars need > 1)")
-		axes    = fs.String("axes", "algo", "comma-separated sweep axes: algo,churn,lf,ccr,scale,arrival,sla")
-		out     = fs.String("out", "", "write sweep JSON to this file (default: stdout)")
-		shard   = fs.String("shard", "", "run only shard i/n of the sweep job matrix (e.g. 0/2) and emit a mergeable partial result")
-		merge   = fs.String("merge", "", "comma-separated shard JSON files to merge into the full sweep result (no simulation)")
-		coord   = fs.String("coordinate", "", "run the sweep through this shared work-stealing directory: init, participate as a worker, then merge (see package doc)")
-		work    = fs.String("worker", "", "drain the sweep work directory DIR (created by -coordinate) instead of running an experiment")
-		slpj    = fs.Duration("sleep-per-job", 0, "worker test hook: sleep this long before every replication (makes the worker slow enough to be stolen from)")
-		lttl    = fs.Duration("lease-ttl", 2*time.Minute, "work-unit lease expiry recorded when -coordinate initializes a directory; workers heartbeat between replications, so set it comfortably above the longest single replication (crashed or wedged workers' cells are re-leased and re-run after this long without progress)")
-		cache   = fs.String("cache", "", "warm-start cell cache directory: re-runs execute only cells missing from it")
-		prec    = fs.Float64("precision", 0, "per-cell adaptive replication: each cell draws seeds until its ACT 95% CI half-width is under this fraction of its mean (an explicit -reps caps every cell)")
-		arr     = fs.String("arrival", "", "arrival process for single/sweep cells: batch|poisson:RATE|mmpp:RATE[:BURST]|diurnal:RATE[:PERIODH]|trace (rates in workflows/hour)")
-		slaF    = fs.String("sla", "", "SLA contract for single/sweep cells: none|deadline:FACTOR|budget:FACTOR|both:DF:BF (factors scale the critical path / cheapest-feasible cost)")
-		priceF  = fs.String("price", "", "pricing model for single/sweep cells and -serve: none|RATE[:SPREAD] (capacity-proportional per-MI rates, ±SPREAD jitter)")
-		trc     = fs.String("trace", "", "SWF/GWF trace file for trace replay (\"sample\" = the bundled demo trace)")
-		trscale = fs.Float64("trace-scale", 1, "multiply trace submit times by this factor (compress a multi-day trace into the horizon)")
-		modelF  = fs.String("model", "", "synthesize the workload from this fitted model artifact (wfgen -fit output); replaces -arrival/-trace")
-		synthF  = fs.Int("synth", 0, "number of jobs to synthesize from -model (0 = the model's fitted count)")
-		cgc     = fs.Bool("cache-gc", false, "garbage-collect the -cache directory (needs -cache-budget and/or -cache-days) and exit")
-		cbudget = fs.Int64("cache-budget", 0, "cache GC size budget in MB, oldest-access entries dropped first (0 = no size bound)")
-		cdays   = fs.Float64("cache-days", 0, "cache GC max entry age in days (0 = no age bound)")
-		shards  = fs.Int("shards", 1, "parallel workers for each gossip cycle of a simulation (bit-identical results at any value)")
-		serve   = fs.String("serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API; combines only with "+flagList(modeFlags["serve"]))
-		pace    = fs.Float64("pace", 0, "wall-clock pacing for -serve: virtual seconds advanced per wall second (0 = deterministic virtual clock, advanced only via POST /v1/clock/advance)")
-		maxInf  = fs.Int("max-inflight", 256, "admission bound for -serve: submissions beyond this many unfinished workflows are shed with 429 + Retry-After")
-		arts    = fs.String("artifacts", "", "directory for CSV/DAT/gnuplot artifacts (series experiments, sweep)")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		tout    = fs.String("trace-out", "", "write the run's span timeline as Chrome trace-event JSON to this file (-experiment single; load it in Perfetto or chrome://tracing)")
-		gantt   = fs.Bool("gantt", false, "print an ASCII Gantt chart of per-node activity after -experiment single")
-		obsF    = fs.Bool("obs", false, "collect virtual-time latency histograms per sweep cell and embed distribution summaries in the sweep JSON (plain single-host sweeps; not -shard/-merge/-coordinate/-precision/-cache)")
-		logLvl  = fs.String("log-level", "", "structured log level for -serve/-worker/-coordinate: debug|info|warn|error (default info)")
-		logFmt  = fs.String("log-format", "", "structured log format for -serve/-worker/-coordinate: text|json (default text)")
-		pprofF  = fs.Bool("pprof", false, "expose /debug/pprof profiling handlers on the -serve daemon (off: those paths 404)")
-	)
+	o := options{stdout: stdout, stderr: stderr}
+	fs := o.flags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -344,180 +513,34 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			fs.Args(), fs.Arg(0))
 		return 2
 	}
-	repsSet, sleepSet, ttlSet := false, false, false
-	var setFlags []string
-	fs.Visit(func(f *flag.Flag) {
-		setFlags = append(setFlags, f.Name)
-		switch f.Name {
-		case "algo":
-			if *name != "single" && *work == "" && *serve == "" {
-				fmt.Fprintf(stderr, "p2pgridsim: -algo only applies to -experiment single; %q runs its fixed algorithm set\n", *name)
-			}
-		case "reps":
-			repsSet = true
-		case "sleep-per-job":
-			sleepSet = true
-		case "lease-ttl":
-			ttlSet = true
-		}
-	})
-	if err := checkFlagScopes(fs, setFlags, *name); err != nil {
-		fmt.Fprintln(stderr, "p2pgridsim:", err)
-		return 2
+	fs.Visit(func(f *flag.Flag) { o.repsSet = o.repsSet || f.Name == "reps" })
+	m, err := checkScopes(fs)
+	if err == nil {
+		err = o.validate()
 	}
-	if sleepSet && *work == "" && *coord == "" {
-		fmt.Fprintln(stderr, "p2pgridsim: -sleep-per-job only applies to -worker or -coordinate")
-		return 2
-	}
-	if ttlSet && *coord == "" {
-		fmt.Fprintln(stderr, "p2pgridsim: -lease-ttl only applies to -coordinate (workers read the TTL from the work directory)")
-		return 2
-	}
-	if *work != "" && *coord != "" {
-		fmt.Fprintln(stderr, "p2pgridsim: -worker and -coordinate are exclusive (the coordinator already participates as a worker)")
-		return 2
-	}
-	if *pace < 0 {
-		fmt.Fprintf(stderr, "p2pgridsim: -pace must be non-negative, got %v\n", *pace)
-		return 2
-	}
-	if *maxInf < 1 {
-		fmt.Fprintf(stderr, "p2pgridsim: -max-inflight must be at least 1, got %d\n", *maxInf)
-		return 2
-	}
-	if *lttl <= 0 {
-		fmt.Fprintf(stderr, "p2pgridsim: -lease-ttl must be positive, got %v\n", *lttl)
-		return 2
-	}
-	if *slpj < 0 {
-		fmt.Fprintf(stderr, "p2pgridsim: -sleep-per-job must be non-negative, got %v\n", *slpj)
-		return 2
-	}
-	if *reps < 1 {
-		fmt.Fprintf(stderr, "p2pgridsim: -reps must be at least 1, got %d\n", *reps)
-		return 2
-	}
-	if (*tout != "" || *gantt) && (*name != "single" || *serve != "" || *work != "") {
-		fmt.Fprintln(stderr, "p2pgridsim: -trace-out and -gantt only apply to -experiment single (the daemon serves spans via GET /v1/workflows/{id}/trace)")
-		return 2
-	}
-	if *logLvl != "" || *logFmt != "" {
-		if *serve == "" && *work == "" && *coord == "" {
-			fmt.Fprintln(stderr, "p2pgridsim: -log-level and -log-format only apply to -serve, -worker and -coordinate")
-			return 2
-		}
-		// Validate eagerly so a typo fails before any work starts.
-		if _, err := obs.NewLogger(io.Discard, *logLvl, *logFmt); err != nil {
-			fmt.Fprintln(stderr, "p2pgridsim:", err)
-			return 2
-		}
-	}
-
-	sc, err := experiments.ScaleByName(*scale)
 	if err != nil {
 		fmt.Fprintln(stderr, "p2pgridsim:", err)
-		return 1
+		return 2
 	}
-	o := options{
-		experiment:  *name,
-		scale:       sc,
-		seed:        *seed,
-		algo:        *algo,
-		maxLF:       *maxLF,
-		reps:        *reps,
-		repsSet:     repsSet,
-		axes:        *axes,
-		out:         *out,
-		artifacts:   *arts,
-		shard:       *shard,
-		merge:       *merge,
-		cacheDir:    *cache,
-		precision:   *prec,
-		coordinate:  *coord,
-		worker:      *work,
-		sleepPerJob: *slpj,
-		leaseTTL:    *lttl,
-		arrival:     *arr,
-		tracePath:   *trc,
-		traceScale:  *trscale,
-		model:       *modelF,
-		synth:       *synthF,
-		sla:         *slaF,
-		price:       *priceF,
-		cacheGC:     *cgc,
-		cacheBudget: *cbudget,
-		cacheDays:   *cdays,
-		shards:      *shards,
-		serve:       *serve,
-		pace:        *pace,
-		maxInFlight: *maxInf,
-		traceOut:    *tout,
-		gantt:       *gantt,
-		obs:         *obsF,
-		logLevel:    *logLvl,
-		logFormat:   *logFmt,
-		pprofOn:     *pprofF,
-		stdout:      stdout,
-		stderr:      stderr,
-	}
-	if o.serve != "" {
-		if err := runServe(o); err != nil {
-			fmt.Fprintln(stderr, "p2pgridsim:", err)
-			return 1
-		}
-		return 0
-	}
-	if o.cacheGC {
-		if err := runCacheGC(o); err != nil {
-			fmt.Fprintln(stderr, "p2pgridsim:", err)
-			return 1
-		}
-		return 0
-	}
-	if o.worker != "" {
-		if err := runWorker(o); err != nil {
-			fmt.Fprintln(stderr, "p2pgridsim:", err)
-			return 1
-		}
-		return 0
-	}
-	if o.arrival != "" || o.tracePath != "" || (o.traceScale != 0 && o.traceScale != 1) || o.model != "" || o.synth != 0 {
-		// Validate eagerly: a malformed spec, unreadable trace or bad
-		// model must fail even when the selected experiment would never
-		// consume it.
-		if _, _, err := o.arrivalSetup(); err != nil {
-			fmt.Fprintln(stderr, "p2pgridsim:", err)
-			return 2
-		}
-		if e := lookupExperiment(o.experiment); e == nil || !e.arrival {
-			fmt.Fprintf(stderr, "p2pgridsim: -arrival/-trace/-model only apply to %s; %q runs the batch workload\n",
-				experimentsWhere(func(e experiment) bool { return e.arrival }), o.experiment)
+	if o.scale, err = experiments.ScaleByName(o.scaleName); err == nil {
+		if m != nil {
+			err = m.run(o)
+		} else {
+			// run (not cliMain) owns the profile lifecycles so they close
+			// properly on error paths too.
+			err = run(o)
 		}
 	}
-	if o.sla != "" || o.price != "" {
-		// Same eager-validation rule as -arrival: a malformed spec must fail
-		// even when the selected experiment would never consume it.
-		if _, _, err := o.economySetup(); err != nil {
-			fmt.Fprintln(stderr, "p2pgridsim:", err)
-			return 2
-		}
-		if e := lookupExperiment(o.experiment); e == nil || !e.economy {
-			fmt.Fprintf(stderr, "p2pgridsim: -sla/-price only apply to %s; %q runs without contracts\n",
-				experimentsWhere(func(e experiment) bool { return e.economy }), o.experiment)
-		}
-	}
-	// run (not cliMain) owns the profile lifecycles so they close properly
-	// on error paths too.
-	if err := run(o, *cpuProf, *memProf); err != nil {
+	if err != nil {
 		fmt.Fprintln(stderr, "p2pgridsim:", err)
 		return 1
 	}
 	return 0
 }
 
-func run(o options, cpuProf, memProf string) error {
-	if cpuProf != "" {
-		f, err := os.Create(cpuProf)
+func run(o options) error {
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			return err
 		}
@@ -532,10 +555,10 @@ func run(o options, cpuProf, memProf string) error {
 	if dispatchErr == nil {
 		fmt.Fprintf(o.stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	}
-	if memProf != "" {
+	if o.memProfile != "" {
 		// Written even when dispatch failed: a heap snapshot of the errored
 		// run is exactly what the flag exists to capture.
-		if err := writeHeapProfile(memProf); err != nil {
+		if err := writeHeapProfile(o.memProfile); err != nil {
 			if dispatchErr == nil {
 				return err
 			}
@@ -576,64 +599,67 @@ func (o options) exportSeries(sets ...experiments.SeriesSet) error {
 	return nil
 }
 
-// experiment is one -experiment mode. arrival and economy mark the modes
-// that consume -arrival/-trace/-model and -sla/-price; inAll marks the
-// modes -experiment all runs, in table order.
+// experiment is one -experiment mode: reads lists every flag it reads,
+// and inAll marks the modes -experiment all runs, in table order.
 type experiment struct {
-	name             string
-	run              func(options) error
-	inAll            bool
-	arrival, economy bool
+	name, reads string
+	run         func(options) error
+	inAll       bool
 }
 
 // experimentTable is every -experiment mode except "all", which runs the
-// inAll entries in sequence. Table order is also the order in which the
-// -arrival and -sla warnings list the modes that take those flags.
+// inAll entries in sequence and reads what they read. Table order is also
+// the order in which errors and -h name the experiments that read a flag.
 var experimentTable = []experiment{
-	{name: "table1", inAll: true, run: func(o options) error {
+	{name: "table1", inAll: true, reads: common, run: func(o options) error {
 		return o.printTable(experiments.TableI(), nil)
 	}},
-	{name: "single", arrival: true, economy: true, run: runSingle},
-	{name: "sweep", arrival: true, economy: true, run: runSweep},
-	{name: "fig3", inAll: true, run: func(o options) error {
+	{name: "single", reads: common + " algo shards arrival sla price trace-out gantt " + traceSrc, run: runSingle},
+	{name: "sweep", reads: matrix + " out artifacts shards cache shard merge coordinate precision obs", run: runSweep},
+	{name: "fig3", inAll: true, reads: common, run: func(o options) error {
 		fmt.Fprintln(o.stdout, experiments.Fig3Report())
 		return nil
 	}},
-	{name: "fig4-6", inAll: true, run: runStatic},
-	{name: "fcfs", inAll: true, run: func(o options) error {
+	{name: "fig4-6", inAll: true, reads: common + " reps artifacts", run: runStatic},
+	{name: "fcfs", inAll: true, reads: common + " reps", run: func(o options) error {
 		table, _, err := experiments.FCFSAblation(o.scale, o.seed, o.reps)
 		return o.printTable(table, err)
 	}},
-	{name: "fig7-8", inAll: true, run: func(o options) error {
+	{name: "fig7-8", inAll: true, reads: common + " reps maxlf", run: func(o options) error {
 		return o.printTables(experiments.LoadFactorSweepRep(o.scale, o.seed, o.maxLF, o.reps))
 	}},
-	{name: "fig9-10", inAll: true, run: func(o options) error {
+	{name: "fig9-10", inAll: true, reads: common + " reps", run: func(o options) error {
 		return o.printTables(experiments.CCRSweepRep(o.scale, o.seed, o.reps))
 	}},
-	{name: "fig11", inAll: true, run: func(o options) error {
+	{name: "fig11", inAll: true, reads: common + " reps", run: func(o options) error {
 		res, err := experiments.ScalabilitySweep(o.scale, o.seed, o.reps)
 		if err != nil {
 			return err
 		}
 		return o.printTable(experiments.ScalabilityTable(res), nil)
 	}},
-	{name: "arrival", arrival: true, run: runArrival},
-	{name: "sla", run: runSLA},
-	{name: "fig12-14", inAll: true, run: func(o options) error { return runChurn(o, false) }},
-	{name: "reschedule", inAll: true, run: func(o options) error { return runChurn(o, true) }},
-	{name: "oracle", inAll: true, run: func(o options) error {
+	{name: "arrival", reads: common + " reps " + traceSrc, run: runArrival},
+	// sla prints the economic figure: deadline-miss rate and spend per
+	// completed workflow across the scale's deadline ladder, the DBC-cost
+	// optimizer against the best-effort DSMF baseline.
+	{name: "sla", reads: common + " reps", run: func(o options) error {
+		return o.printTables(experiments.SLASweepRep(o.scale, o.seed, o.reps))
+	}},
+	{name: "fig12-14", inAll: true, reads: common + " reps artifacts", run: func(o options) error { return runChurn(o, false) }},
+	{name: "reschedule", inAll: true, reads: common + " reps artifacts", run: func(o options) error { return runChurn(o, true) }},
+	{name: "oracle", inAll: true, reads: common, run: func(o options) error {
 		return o.printTable(experiments.OracleAblation(o.scale, o.seed))
 	}},
-	{name: "planners", inAll: true, run: func(o options) error {
+	{name: "planners", inAll: true, reads: common, run: func(o options) error {
 		return o.printTable(experiments.PlannerShootout(o.scale, o.seed))
 	}},
-	{name: "churn-model", inAll: true, run: func(o options) error {
+	{name: "churn-model", inAll: true, reads: common, run: func(o options) error {
 		return o.printTable(experiments.ChurnModelAblation(o.scale, o.seed, 0.2))
 	}},
-	{name: "families", inAll: true, run: func(o options) error {
+	{name: "families", inAll: true, reads: common, run: func(o options) error {
 		return o.printTable(experiments.FamilyComparison(o.scale, o.seed))
 	}},
-	{name: "report", run: func(o options) error {
+	{name: "report", reads: common, run: func(o options) error {
 		out, err := experiments.Report(o.scale, o.seed)
 		if err != nil {
 			return err
@@ -651,21 +677,6 @@ func lookupExperiment(name string) *experiment {
 		}
 	}
 	return nil
-}
-
-// experimentsWhere lists the names of the entries keep selects, in table
-// order, as "a, b and c".
-func experimentsWhere(keep func(experiment) bool) string {
-	var names []string
-	for _, e := range experimentTable {
-		if keep(e) {
-			names = append(names, e.name)
-		}
-	}
-	if len(names) < 2 {
-		return strings.Join(names, "")
-	}
-	return strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1]
 }
 
 func dispatch(o options) error {
@@ -804,7 +815,7 @@ func sweepSpecFromAxes(axes string, sc experiments.Scale, seed int64, reps, maxL
 		case "":
 			// Empty axes list (or a trailing comma): keep the defaults.
 		default:
-			return spec, fmt.Errorf("unknown sweep axis %q (algo|churn|lf|ccr|scale|arrival|sla)", ax)
+			return spec, fmt.Errorf("unknown sweep axis %q (algo|churn|lf|ccr|arrival|sla|scale)", ax)
 		}
 	}
 	return spec, nil
@@ -818,27 +829,7 @@ func sweepSpecFromAxes(axes string, sc experiments.Scale, seed int64, reps, maxL
 // -precision grows replication batches adaptively up to the -reps cap.
 func runSweep(o options) error {
 	if o.merge != "" {
-		if o.shard != "" || o.precision > 0 || o.cacheDir != "" || o.coordinate != "" {
-			return fmt.Errorf("-merge does not combine with -shard, -precision, -cache or -coordinate (merging never simulates)")
-		}
 		return runMerge(o)
-	}
-	if o.precision < 0 {
-		return fmt.Errorf("-precision must be positive, got %v", o.precision)
-	}
-	if o.coordinate != "" {
-		if o.shard != "" {
-			return fmt.Errorf("-coordinate does not combine with -shard (the work directory already partitions the matrix)")
-		}
-		if o.precision > 0 {
-			return fmt.Errorf("-coordinate does not combine with -precision (work units are fixed-replication cells)")
-		}
-	}
-	if o.obs && (o.shard != "" || o.coordinate != "" || o.precision > 0 || o.cacheDir != "") {
-		// Shard partials, the cell cache and the work directory all carry
-		// schemas that predate distribution blocks; restoring from them
-		// would yield partial summaries, so keep -obs to the plain path.
-		return fmt.Errorf("-obs only applies to plain single-host sweeps (not -shard, -coordinate, -precision or -cache)")
 	}
 	spec, err := sweepSpecFromAxes(o.axes, o.scale, o.seed, o.reps, o.maxLF)
 	if err != nil {
@@ -850,11 +841,8 @@ func runSweep(o options) error {
 			return err
 		}
 		if spec.Arrivals != nil {
-			// The arrival axis carries its own intensity ladder; -trace
-			// adds a replay column, but a single -arrival case conflicts.
-			if o.arrival != "" {
-				return fmt.Errorf("-arrival does not combine with -axes arrival (the axis is the intensity ladder); use -trace to add a replay cell")
-			}
+			// -axes arrival carries its own intensity ladder; -trace adds
+			// a replay column (validate rejects -arrival here).
 			spec.Arrivals = append(spec.Arrivals, experiments.TraceCase(tr))
 		} else if tr != nil {
 			spec.Arrivals = []experiments.ArrivalCase{experiments.TraceCase(tr)}
@@ -866,9 +854,6 @@ func runSweep(o options) error {
 		sla, price, err := o.economySetup()
 		if err != nil {
 			return err
-		}
-		if spec.SLAs != nil {
-			return fmt.Errorf("-sla/-price do not combine with -axes sla (the axis carries its own ladder and pricing)")
 		}
 		if sla.Enabled() || price.Enabled() {
 			label := o.sla
@@ -894,12 +879,6 @@ func runSweep(o options) error {
 		opts.Cache = executor.Disk{Dir: o.cacheDir}
 	}
 	if o.shard != "" {
-		if o.precision > 0 {
-			return fmt.Errorf("-shard does not combine with -precision (adaptive batches need the whole matrix)")
-		}
-		if o.artifacts != "" {
-			return fmt.Errorf("-shard does not combine with -artifacts (a partial result has no complete cells to export; export from the merged run)")
-		}
 		idx, n, err := parseShard(o.shard)
 		if err != nil {
 			return err
@@ -1007,9 +986,6 @@ func runWorker(o options) error {
 // converged ACT and AE across the scale's Poisson intensity ladder (plus
 // a trace-replay column when -trace is given), with 95% CIs at -reps > 1.
 func runArrival(o options) error {
-	if o.arrival != "" {
-		return fmt.Errorf("-experiment arrival runs a fixed intensity ladder; -arrival only applies to single/sweep (use -trace to add a replay column)")
-	}
 	_, tr, err := o.arrivalSetup()
 	if err != nil {
 		return err
@@ -1017,28 +993,9 @@ func runArrival(o options) error {
 	return o.printTables(experiments.ArrivalSweepRep(o.scale, o.seed, o.reps, tr))
 }
 
-// runSLA prints the economic figure: deadline-miss rate and spend per
-// completed workflow across the scale's deadline ladder, the DBC-cost
-// optimizer against the best-effort DSMF baseline (95% CIs at -reps > 1).
-func runSLA(o options) error {
-	if o.sla != "" || o.price != "" {
-		return fmt.Errorf("-experiment sla runs a fixed deadline ladder; -sla/-price only apply to single/sweep")
-	}
-	return o.printTables(experiments.SLASweepRep(o.scale, o.seed, o.reps))
-}
-
 // runCacheGC trims the warm-start cell cache under the -cache-budget /
 // -cache-days bounds, oldest access first (see executor.Disk.GC).
 func runCacheGC(o options) error {
-	if o.cacheDir == "" {
-		return fmt.Errorf("-cache-gc needs -cache DIR")
-	}
-	if o.cacheBudget < 0 || o.cacheDays < 0 {
-		return fmt.Errorf("-cache-budget and -cache-days must be non-negative")
-	}
-	if o.cacheBudget == 0 && o.cacheDays == 0 {
-		return fmt.Errorf("-cache-gc needs a bound: -cache-budget MB and/or -cache-days N")
-	}
 	st, err := executor.Disk{Dir: o.cacheDir}.GC(executor.GCOptions{
 		MaxBytes: o.cacheBudget * 1 << 20,
 		MaxAge:   time.Duration(o.cacheDays * 24 * float64(time.Hour)),

@@ -41,68 +41,71 @@ func (b *syncBuffer) String() string {
 }
 
 // TestErrorPathsExitNonZero pins the exit-code contract: every bad input
-// must fail loudly. The positional-argument case used to silently run the
-// default experiment and exit 0, and so did the last three, which ran
-// while ignoring part of what was asked (TestFlagScopes pins their code
-// and message).
+// must fail loudly, a flag error with 2 before any work starts and a
+// failed run with 1.
 func TestErrorPathsExitNonZero(t *testing.T) {
 	cases := []struct {
 		name string
+		code int
 		args []string
 	}{
-		{"unknown experiment", []string{"-experiment", "bogus", "-scale", "tiny"}},
-		{"unknown scale", []string{"-experiment", "table1", "-scale", "galactic"}},
-		{"unknown algorithm", []string{"-experiment", "single", "-algo", "nope", "-scale", "tiny"}},
-		{"unknown flag", []string{"-definitely-not-a-flag"}},
-		{"stray positional argument", []string{"sweep"}},
-		{"positional after flags", []string{"-scale", "tiny", "fig4-6"}},
-		{"non-positive reps", []string{"-experiment", "table1", "-reps", "0"}},
-		{"negative maxlf on fig7-8", []string{"-experiment", "fig7-8", "-scale", "tiny", "-maxlf", "-1"}},
-		{"negative maxlf on sweep lf axis", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "lf", "-maxlf", "0"}},
-		{"unknown sweep axis", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "algo,warp"}},
-		{"unwritable out", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-out", "/nonexistent-dir/x.json"}},
-		{"malformed shard", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "two/three"}},
-		{"shard with trailing garbage", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2/4"}},
-		{"shard with suffixed count", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "1/10x"}},
-		{"shard with artifacts", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2", "-artifacts", "arts"}},
-		{"merge with cache", []string{"-experiment", "sweep", "-merge", "a.json", "-cache", "cellcache"}},
-		{"shard index out of range", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "2/2"}},
-		{"shard with precision", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2", "-precision", "0.1"}},
-		{"merge with shard", []string{"-experiment", "sweep", "-merge", "a.json", "-shard", "0/2"}},
-		{"merge without files", []string{"-experiment", "sweep", "-merge", " , "}},
-		{"merge unreadable file", []string{"-experiment", "sweep", "-merge", "/nonexistent-dir/shard.json"}},
-		{"negative precision", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-precision", "-0.5"}},
-		{"malformed arrival spec", []string{"-experiment", "single", "-scale", "tiny", "-arrival", "poisson"}},
-		{"malformed arrival on non-consuming experiment", []string{"-arrival", "poisson"}},
-		{"missing trace on non-consuming experiment", []string{"-trace", "/nonexistent-dir/t.swf"}},
-		{"unknown arrival kind", []string{"-experiment", "single", "-scale", "tiny", "-arrival", "gamma:3"}},
-		{"missing trace file", []string{"-experiment", "single", "-scale", "tiny", "-trace", "/nonexistent-dir/t.swf"}},
-		{"trace with non-trace arrival", []string{"-experiment", "single", "-scale", "tiny", "-arrival", "poisson:10", "-trace", "sample"}},
-		{"arrival with arrival axis", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "arrival", "-arrival", "poisson:10"}},
-		{"arrival experiment with -arrival", []string{"-experiment", "arrival", "-scale", "tiny", "-arrival", "poisson:10"}},
-		{"negative trace-scale", []string{"-experiment", "single", "-scale", "tiny", "-trace", "sample", "-trace-scale", "-2"}},
-		{"trace-scale without trace", []string{"-experiment", "single", "-scale", "tiny", "-trace-scale", "0.5"}},
-		{"cache-gc without cache", []string{"-cache-gc", "-cache-budget", "1"}},
-		{"cache-gc without bounds", []string{"-cache-gc", "-cache", "somewhere"}},
-		{"cache-gc negative budget", []string{"-cache-gc", "-cache", "somewhere", "-cache-budget", "-2"}},
-		{"worker on missing dir", []string{"-worker", "/nonexistent-dir/work"}},
-		{"worker with coordinate", []string{"-worker", "w", "-coordinate", "c"}},
-		{"sleep-per-job without worker", []string{"-experiment", "table1", "-sleep-per-job", "1ms"}},
-		{"negative sleep-per-job", []string{"-worker", "w", "-sleep-per-job", "-1s"}},
-		{"lease-ttl without coordinate", []string{"-worker", "w", "-lease-ttl", "5s"}},
-		{"non-positive lease-ttl", []string{"-experiment", "sweep", "-coordinate", "c", "-lease-ttl", "0s"}},
-		{"coordinate with shard", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-coordinate", "c", "-shard", "0/2"}},
-		{"coordinate with precision", []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-coordinate", "c", "-precision", "0.1"}},
-		{"coordinate with merge", []string{"-experiment", "sweep", "-merge", "a.json", "-coordinate", "c"}},
-		{"cache-gc with sweep flags", []string{"-cache-gc", "-cache", "d", "-cache-days", "1", "-experiment", "sweep", "-reps", "5", "-out", "x.json"}},
-		{"sweep flags on table1", []string{"-experiment", "table1", "-out", "t.json", "-shard", "0/2", "-coordinate", "c"}},
-		{"cache-budget without cache-gc", []string{"-experiment", "fig3", "-cache-budget", "5"}},
+		{"unknown experiment", 1, []string{"-experiment", "bogus", "-scale", "tiny"}},
+		{"unknown scale", 1, []string{"-experiment", "table1", "-scale", "galactic"}},
+		{"unknown algorithm", 1, []string{"-experiment", "single", "-algo", "nope", "-scale", "tiny"}},
+		{"unknown flag", 2, []string{"-definitely-not-a-flag"}},
+		{"stray positional argument", 2, []string{"sweep"}},
+		{"positional after flags", 2, []string{"-scale", "tiny", "fig4-6"}},
+		{"non-positive reps", 2, []string{"-experiment", "fig4-6", "-reps", "0"}},
+		{"negative maxlf on fig7-8", 1, []string{"-experiment", "fig7-8", "-scale", "tiny", "-maxlf", "-1"}},
+		{"negative maxlf on sweep lf axis", 1, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "lf", "-maxlf", "0"}},
+		{"unknown sweep axis", 1, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "algo,warp"}},
+		{"unwritable out", 1, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-out", "/nonexistent-dir/x.json"}},
+		{"malformed shard", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "two/three"}},
+		{"shard with trailing garbage", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2/4"}},
+		{"shard with suffixed count", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "1/10x"}},
+		{"shard with artifacts", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2", "-artifacts", "arts"}},
+		{"merge with cache", 2, []string{"-experiment", "sweep", "-merge", "a.json", "-cache", "cellcache"}},
+		{"shard index out of range", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "2/2"}},
+		{"shard with precision", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2", "-precision", "0.1"}},
+		{"merge with shard", 2, []string{"-experiment", "sweep", "-merge", "a.json", "-shard", "0/2"}},
+		{"merge without files", 1, []string{"-experiment", "sweep", "-merge", " , "}},
+		{"merge unreadable file", 1, []string{"-experiment", "sweep", "-merge", "/nonexistent-dir/shard.json"}},
+		{"negative precision", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-precision", "-0.5"}},
+		{"malformed arrival spec", 2, []string{"-experiment", "single", "-scale", "tiny", "-arrival", "poisson"}},
+		{"malformed arrival on non-consuming experiment", 2, []string{"-arrival", "poisson"}},
+		{"missing trace on non-consuming experiment", 2, []string{"-trace", "/nonexistent-dir/t.swf"}},
+		{"unknown arrival kind", 2, []string{"-experiment", "single", "-scale", "tiny", "-arrival", "gamma:3"}},
+		{"missing trace file", 2, []string{"-experiment", "single", "-scale", "tiny", "-trace", "/nonexistent-dir/t.swf"}},
+		{"trace with non-trace arrival", 2, []string{"-experiment", "single", "-scale", "tiny", "-arrival", "poisson:10", "-trace", "sample"}},
+		{"arrival with arrival axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "arrival", "-arrival", "poisson:10"}},
+		{"arrival experiment with -arrival", 2, []string{"-experiment", "arrival", "-scale", "tiny", "-arrival", "poisson:10"}},
+		{"sla with sla axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "sla", "-sla", "deadline:2"}},
+		{"price with sla axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "algo,sla", "-price", "1"}},
+		{"sla experiment with -sla", 2, []string{"-experiment", "sla", "-scale", "tiny", "-sla", "deadline:2"}},
+		{"sla experiment with -price", 2, []string{"-experiment", "sla", "-scale", "tiny", "-price", "1"}},
+		{"negative trace-scale", 2, []string{"-experiment", "single", "-scale", "tiny", "-trace", "sample", "-trace-scale", "-2"}},
+		{"trace-scale without trace", 2, []string{"-experiment", "single", "-scale", "tiny", "-trace-scale", "0.5"}},
+		{"cache-gc without cache", 2, []string{"-cache-gc", "-cache-budget", "1"}},
+		{"cache-gc without bounds", 2, []string{"-cache-gc", "-cache", "somewhere"}},
+		{"cache-gc negative budget", 2, []string{"-cache-gc", "-cache", "somewhere", "-cache-budget", "-2"}},
+		{"worker on missing dir", 1, []string{"-worker", "/nonexistent-dir/work"}},
+		{"worker with coordinate", 2, []string{"-worker", "w", "-coordinate", "c"}},
+		{"sleep-per-job without worker", 2, []string{"-experiment", "table1", "-sleep-per-job", "1ms"}},
+		{"negative sleep-per-job", 2, []string{"-worker", "w", "-sleep-per-job", "-1s"}},
+		{"lease-ttl without coordinate", 2, []string{"-worker", "w", "-lease-ttl", "5s"}},
+		{"non-positive lease-ttl", 2, []string{"-experiment", "sweep", "-coordinate", "c", "-lease-ttl", "0s"}},
+		{"coordinate with shard", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-coordinate", "c", "-shard", "0/2"}},
+		{"coordinate with precision", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-coordinate", "c", "-precision", "0.1"}},
+		{"coordinate with merge", 2, []string{"-experiment", "sweep", "-merge", "a.json", "-coordinate", "c"}},
+		{"cache-gc with sweep flags", 2, []string{"-cache-gc", "-cache", "d", "-cache-days", "1", "-experiment", "sweep", "-reps", "5", "-out", "x.json"}},
+		{"sweep flags on table1", 2, []string{"-experiment", "table1", "-out", "t.json", "-shard", "0/2", "-coordinate", "c"}},
+		{"cache-budget without cache-gc", 2, []string{"-experiment", "fig3", "-cache-budget", "5"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, stderr := runCLI(tc.args...)
-			if code == 0 {
-				t.Fatalf("args %v exited 0; stderr:\n%s", tc.args, stderr)
+			if code != tc.code {
+				t.Fatalf("args %v exited %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr)
 			}
 			if stderr == "" {
 				t.Fatalf("args %v failed silently", tc.args)
@@ -320,8 +323,8 @@ func TestSweepAdaptivePrecision(t *testing.T) {
 	}
 }
 
-// TestArrivalExperimentAndFlags drives the arrival subsystem through the
-// CLI: the arrival figure (with the bundled trace column), a single run
+// TestArrivalExperimentAndFlags drives arrivals through the CLI: the
+// arrival-intensity figure (with the bundled trace column), a single run
 // under a Poisson process, and a trace-replay sweep cell.
 func TestArrivalExperimentAndFlags(t *testing.T) {
 	code, stdout, stderr := runCLI("-experiment", "arrival", "-scale", "tiny", "-reps", "1", "-trace", "sample")
@@ -360,13 +363,13 @@ func TestArrivalExperimentAndFlags(t *testing.T) {
 		t.Fatalf("unsubmitted tail not reported:\n%s", stdout)
 	}
 
-	// Valid flags on an experiment that ignores them warn but still run.
+	// A valid flag on an experiment that does not read it is a flag error.
 	code, _, stderr = runCLI("-experiment", "table1", "-scale", "tiny", "-arrival", "poisson:10")
-	if code != 0 || !strings.Contains(stderr, "only apply to single, sweep and arrival") {
-		t.Fatalf("ignored-flag warning missing (exit %d):\n%s", code, stderr)
+	if code != 2 || !strings.Contains(stderr, "-arrival only applies to -experiment single and sweep") {
+		t.Fatalf("ignored -arrival: exit %d, want 2 naming where it applies:\n%s", code, stderr)
 	}
 
-	// A sweep pinned to one arrival case labels its cells with it.
+	// A sweep pinned to a Poisson process labels its cells with it.
 	code, stdout, stderr = runCLI("-experiment", "sweep", "-scale", "tiny", "-axes", "", "-arrival", "poisson:30")
 	if code != 0 {
 		t.Fatalf("sweep with arrival: exit %d, stderr:\n%s", code, stderr)

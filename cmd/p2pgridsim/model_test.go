@@ -99,9 +99,9 @@ func TestModelFlagRules(t *testing.T) {
 		})
 	}
 
-	// -model on an experiment that ignores it warns but runs.
+	// -model on an experiment that does not read it is a flag error.
 	code, _, stderr := runCLI("-experiment", "table1", "-scale", "tiny", "-model", model)
-	if code != 0 || !strings.Contains(stderr, "only apply to single, sweep and arrival") {
-		t.Fatalf("ignored -model warning missing (exit %d):\n%s", code, stderr)
+	if code != 2 || !strings.Contains(stderr, "-model only applies to -experiment single, sweep and arrival") {
+		t.Fatalf("ignored -model: exit %d, want 2 naming where it applies:\n%s", code, stderr)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestObsFlagValidation pins the new observability flags' guard rails:
-// each applies to exactly one mode and everything else fails loudly.
+// TestObsFlagValidation pins the observability flags' guard rails: each
+// applies where the scope table says, and everything else is a flag error.
 func TestObsFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,8 +31,8 @@ func TestObsFlagValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			code, _, stderr := runCLI(tc.args...)
-			if code == 0 {
-				t.Fatalf("args %v exited 0; stderr:\n%s", tc.args, stderr)
+			if code != 2 {
+				t.Fatalf("args %v exited %d, want 2; stderr:\n%s", tc.args, code, stderr)
 			}
 			if stderr == "" {
 				t.Fatalf("args %v failed silently", tc.args)

@@ -57,6 +57,11 @@ func TestFormatSummaryDeterministicAndEstimateFlags(t *testing.T) {
 	if first == faster {
 		t.Fatal("-mips did not change the summary estimates")
 	}
+	// A structured family summarizes too.
+	code, montage, stderr := runWfgen("-family", "montage", "-scale", "4", "-format", "summary")
+	if code != 0 || !strings.HasPrefix(montage, "montage-0: 14 tasks") {
+		t.Fatalf("montage summary: exit %d, stdout %q, stderr:\n%s", code, montage, stderr)
+	}
 }
 
 func TestFormatScheduleSynthetic(t *testing.T) {

@@ -73,16 +73,3 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) (*Workflow, error) {
 	_ = hasPred
 	return b.Build()
 }
-
-// GenerateBatch builds count workflows named prefix/0..count-1.
-func GenerateBatch(prefix string, count int, cfg GenConfig, rng *rand.Rand) ([]*Workflow, error) {
-	ws := make([]*Workflow, 0, count)
-	for i := 0; i < count; i++ {
-		w, err := Generate(fmt.Sprintf("%s/%d", prefix, i), cfg, rng)
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, w)
-	}
-	return ws, nil
-}

@@ -68,24 +68,6 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestGenerateBatch(t *testing.T) {
-	rng := stats.NewRand(9, 2)
-	ws, err := GenerateBatch("b", 10, DefaultGenConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != 10 {
-		t.Fatalf("batch size %d, want 10", len(ws))
-	}
-	names := map[string]bool{}
-	for _, w := range ws {
-		if names[w.Name] {
-			t.Fatalf("duplicate workflow name %s", w.Name)
-		}
-		names[w.Name] = true
-	}
-}
-
 // Property: every generated workflow is a valid DAG where all real tasks are
 // reachable from the entry and reach the exit.
 func TestQuickGeneratedWorkflowsWellFormed(t *testing.T) {

@@ -167,13 +167,15 @@ type Result struct {
 	Unsubmitted int
 }
 
-// Run executes one simulation with the given algorithm. The workload and
-// topology depend only on the setting's seed, so different algorithms under
-// the same setting face identical inputs.
-func Run(setting Setting, algo grid.Algorithm) (Result, error) {
+// BuildGrid assembles the simulated system of a setting: its topology,
+// the engine (the gossip replay on setting.Shards workers), the grid
+// running algo, and its economy (node prices and SLA contracts). Nothing
+// has been submitted and the grid has not started. Run adds the workload,
+// the collector and churn; the daemon takes its workloads over HTTP.
+func BuildGrid(setting Setting, algo grid.Algorithm) (sim.Driver, *grid.Grid, error) {
 	net, err := setting.BuildNet()
 	if err != nil {
-		return Result{}, fmt.Errorf("experiments: topology: %w", err)
+		return nil, nil, fmt.Errorf("experiments: topology: %w", err)
 	}
 	var engine sim.Driver
 	if setting.Shards > 1 {
@@ -192,9 +194,20 @@ func Run(setting Setting, algo grid.Algorithm) (Result, error) {
 		Obs:                setting.Obs,
 	}, algo)
 	if err != nil {
-		return Result{}, fmt.Errorf("experiments: grid: %w", err)
+		return nil, nil, fmt.Errorf("experiments: grid: %w", err)
 	}
 	if err := wireEconomy(g, setting); err != nil {
+		return nil, nil, err
+	}
+	return engine, g, nil
+}
+
+// Run executes one simulation with the given algorithm. The workload and
+// topology depend only on the setting's seed, so different algorithms under
+// the same setting face identical inputs.
+func Run(setting Setting, algo grid.Algorithm) (Result, error) {
+	engine, g, err := BuildGrid(setting, algo)
+	if err != nil {
 		return Result{}, err
 	}
 

@@ -17,8 +17,9 @@ import (
 // coverage checks and the merge. Nothing may panic or stall on a spec
 // beyond the bounds, and only a shard that covers its whole job matrix
 // may merge. The seed corpus under
-// testdata/fuzz/FuzzDecodeShard holds a contiguous shard, an ID-set
-// shard, a huge-reps shard and an axis-product shard.
+// testdata/fuzz/FuzzDecodeShard holds a contiguous shard, a shard with an
+// ids list (not part of the schema, so it fails on its window), a
+// huge-reps shard and an axis-product shard.
 func FuzzDecodeShard(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var doc shardJSON
@@ -68,7 +69,8 @@ func corpusShard(t *testing.T, name string) []byte {
 // claiming more replications than adaptiveRepCeiling, or axes whose
 // product exceeds maxSweepJobs, fails to decode with the named error and
 // allocates nothing in proportion to its claim; a spec exactly at the job
-// bound still validates, and the bounded corpus shards still decode.
+// bound still validates, and the bounded contiguous corpus shard still
+// decodes.
 func TestSpecBoundsFailBeforeExpansion(t *testing.T) {
 	for _, tc := range []struct {
 		file string
@@ -86,10 +88,14 @@ func TestSpecBoundsFailBeforeExpansion(t *testing.T) {
 			t.Errorf("%s: decoding allocated %d bytes", tc.file, grew)
 		}
 	}
-	for _, file := range []string{"contiguous", "id-set"} {
-		if _, err := DecodeShard(corpusShard(t, file)); err != nil {
-			t.Errorf("%s: %v", file, err)
-		}
+	if _, err := DecodeShard(corpusShard(t, "contiguous")); err != nil {
+		t.Errorf("contiguous: %v", err)
+	}
+	// Shards cover contiguous windows only: the ids field of an ID-set
+	// shard is not part of the schema, and its window [1,4) does not match
+	// its two records.
+	if _, err := DecodeShard(corpusShard(t, "id-set")); err == nil || !strings.Contains(err.Error(), "shard window [1,4) holds 2 stats") {
+		t.Errorf("id-set: decode error %v, want the window/record mismatch", err)
 	}
 
 	over := microSpec(nil, adaptiveRepCeiling+1, 7)

@@ -472,40 +472,21 @@ func RunSweepStream(spec SweepSpec, opts RunOptions) (*SweepResult, error) {
 }
 
 // ShardResult is the mergeable partial result of one shard: the reduced
-// per-job records of part of a spec's job matrix, plus enough of the spec
-// to reassemble (and cross-check) the full sweep. Coverage is either the
-// contiguous window [Lo,Hi) — the classic -shard i/n split — or, when IDs
-// is non-nil, an arbitrary strictly-increasing job-ID set (the
-// work-stealing coordinator's per-cell units and any future custom split
-// both reduce to this).
+// per-job records of the contiguous window [Lo,Hi) of a spec's job matrix
+// (a -shard i/n split or one cell unit of the work-stealing coordinator),
+// plus enough of the spec to reassemble (and cross-check) the full sweep.
 type ShardResult struct {
 	Spec SweepSpec
 	Hash string // SpecHash of Spec at production time
 	Lo   int    // first job ID covered (inclusive)
 	Hi   int    // one past the last job ID covered (exclusive)
 	Jobs int    // total job count of the full matrix
-	// IDs, when non-nil, lists the covered job IDs in increasing order;
-	// nil means the contiguous range [Lo,Hi).
-	IDs []int
-	// Stats[i] is the record of job IDs[i] (or Lo+i when IDs is nil).
+	// Stats[i] is the record of job Lo+i.
 	Stats []metrics.RunStats
 }
 
 // NumCovered returns the number of jobs this shard covers.
-func (s *ShardResult) NumCovered() int {
-	if s.IDs != nil {
-		return len(s.IDs)
-	}
-	return s.Hi - s.Lo
-}
-
-// jobID maps a Stats index to its global job ID.
-func (s *ShardResult) jobID(i int) int {
-	if s.IDs != nil {
-		return s.IDs[i]
-	}
-	return s.Lo + i
-}
+func (s *ShardResult) NumCovered() int { return s.Hi - s.Lo }
 
 // RunShard executes only shard `shard` of `shards` over the spec's job
 // matrix: the [lo,hi) ID range of the canonical enumeration, as split by
@@ -552,9 +533,7 @@ func runRange(plan *sweepPlan, opts RunOptions, lo, hi int) (*ShardResult, error
 
 // shardJSON is the on-disk schema of a shard partial result (envelope in
 // internal/wire, instantiated with this package's spec type; the alias
-// keeps the bytes identical). The optional ids field (schema-compatible
-// extension: absent on classic contiguous shards, whose files stay
-// byte-identical) carries arbitrary ID-set coverage.
+// keeps the bytes identical).
 type shardJSON = wire.Shard[SweepSpec]
 
 const shardSchema = wire.ShardV1
@@ -567,7 +546,6 @@ func (s *ShardResult) JSON() ([]byte, error) {
 		Lo:     s.Lo,
 		Hi:     s.Hi,
 		Jobs:   s.Jobs,
-		IDs:    s.IDs,
 		Spec:   s.Spec,
 		Stats:  s.Stats,
 	}, "", "  ")
@@ -589,29 +567,11 @@ func DecodeShard(data []byte) (*ShardResult, error) {
 	if err := wire.Expect(doc.Schema, shardSchema); err != nil {
 		return nil, fmt.Errorf("experiments: shard: %w", err)
 	}
-	s := &ShardResult{Spec: doc.Spec, Hash: doc.Hash, Lo: doc.Lo, Hi: doc.Hi, Jobs: doc.Jobs, IDs: doc.IDs, Stats: doc.Stats}
+	s := &ShardResult{Spec: doc.Spec, Hash: doc.Hash, Lo: doc.Lo, Hi: doc.Hi, Jobs: doc.Jobs, Stats: doc.Stats}
 	if got := s.Spec.SpecHash(); got != s.Hash {
 		return nil, fmt.Errorf("experiments: shard spec hash %.12s… does not match recorded %.12s… (different spec or simulator version)", got, s.Hash)
 	}
-	if s.IDs != nil {
-		if len(s.IDs) == 0 {
-			return nil, fmt.Errorf("experiments: shard ID set is empty")
-		}
-		if len(s.IDs) != len(s.Stats) {
-			return nil, fmt.Errorf("experiments: shard covers %d job IDs but holds %d stats", len(s.IDs), len(s.Stats))
-		}
-		for i, id := range s.IDs {
-			if id < 0 || id >= s.Jobs {
-				return nil, fmt.Errorf("experiments: shard job ID %d outside [0,%d)", id, s.Jobs)
-			}
-			if i > 0 && id <= s.IDs[i-1] {
-				return nil, fmt.Errorf("experiments: shard job IDs not strictly increasing at index %d", i)
-			}
-		}
-		// Lo/Hi are derived for ID-set shards: the recorded values are
-		// display hints, the set is authoritative.
-		s.Lo, s.Hi = s.IDs[0], s.IDs[len(s.IDs)-1]+1
-	} else if s.Hi-s.Lo != len(s.Stats) {
+	if s.Hi-s.Lo != len(s.Stats) {
 		return nil, fmt.Errorf("experiments: shard window [%d,%d) holds %d stats", s.Lo, s.Hi, len(s.Stats))
 	}
 	if n, err := s.Spec.NumJobs(); err != nil {
@@ -623,9 +583,8 @@ func DecodeShard(data []byte) (*ShardResult, error) {
 }
 
 // MergeShards reassembles shard partials into a complete SweepResult. The
-// shards must share one spec hash and their coverage — contiguous windows,
-// arbitrary ID sets, or a mix — must tile [0,Jobs) exactly: no gaps, no
-// overlaps. Aggregation feeds the same records through the same
+// shards must share one spec hash and their windows must tile [0,Jobs)
+// exactly: no gaps, no overlaps. Aggregation feeds the same records through the same
 // accumulators in the same replication order as a single-host run, so the
 // merged result's JSON is byte-identical to it.
 func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
@@ -644,8 +603,7 @@ func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
 	seen := make([]bool, first.Jobs)
 	covered := 0
 	for _, p := range sorted {
-		for i := 0; i < p.NumCovered(); i++ {
-			id := p.jobID(i)
+		for id := p.Lo; id < p.Hi; id++ {
 			if id < 0 || id >= len(seen) {
 				return nil, fmt.Errorf("experiments: shard job ID %d outside [0,%d)", id, len(seen))
 			}
@@ -677,7 +635,7 @@ func MergeShards(parts ...*ShardResult) (*SweepResult, error) {
 	}
 	for _, p := range sorted {
 		for i, sts := range p.Stats {
-			j := plan.job(p.jobID(i))
+			j := plan.job(p.Lo + i)
 			if err := accs[j.Cell].Add(j.Rep, sts); err != nil {
 				return nil, err
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -147,110 +146,5 @@ func TestSweepWorkRejectsForeignSpec(t *testing.T) {
 	}
 	if _, _, err := OpenSweepWork(t.TempDir()); err == nil {
 		t.Fatal("opened an uninitialized work dir")
-	}
-}
-
-// TestShardIDSetMerge pins the arbitrary-coverage extension of the shard
-// format: the same job matrix split into interleaved (odd/even) ID sets
-// round-trips through JSON and merges byte-identical to the single-host
-// run, and malformed ID sets are rejected on decode.
-func TestShardIDSetMerge(t *testing.T) {
-	spec := microSpec([]string{"DSMF", "min-min"}, 2, 7)
-	single, err := RunSweepStream(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, single)
-
-	// Run the whole matrix as one shard, then split it into odd/even ID
-	// sets — a coverage no contiguous window can express.
-	whole, err := RunShard(spec, 0, 1, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := func(parity int) *ShardResult {
-		out := &ShardResult{Spec: whole.Spec, Hash: whole.Hash, Jobs: whole.Jobs}
-		for id := 0; id < whole.Jobs; id++ {
-			if id%2 != parity {
-				continue
-			}
-			out.IDs = append(out.IDs, id)
-			out.Stats = append(out.Stats, whole.Stats[id])
-		}
-		return out
-	}
-	var parts []*ShardResult
-	for parity := 0; parity < 2; parity++ {
-		data, err := split(parity).JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeShard(data)
-		if err != nil {
-			t.Fatalf("ID-set shard round trip: %v", err)
-		}
-		if decoded.Lo != parity || decoded.Hi != whole.Jobs-1+parity {
-			t.Fatalf("derived window [%d,%d) for parity %d", decoded.Lo, decoded.Hi, parity)
-		}
-		parts = append(parts, decoded)
-	}
-	merged, err := MergeShards(parts[1], parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustJSON(t, merged); !bytes.Equal(want, got) {
-		t.Fatal("ID-set merge differs from single-host run")
-	}
-
-	// Overlap between an ID set and a contiguous shard is rejected.
-	if _, err := MergeShards(parts[0], parts[1], whole); err == nil {
-		t.Fatal("overlapping ID-set + contiguous merge accepted")
-	}
-
-	// Malformed ID sets fail on decode.
-	tamper := func(mutate func(*shardJSON)) error {
-		data, err := split(0).JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc shardJSON
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&doc)
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = DecodeShard(raw)
-		return err
-	}
-	if err := tamper(func(d *shardJSON) { d.IDs[1] = d.IDs[0] }); err == nil {
-		t.Fatal("non-increasing ID set accepted")
-	}
-	if err := tamper(func(d *shardJSON) { d.IDs[len(d.IDs)-1] = d.Jobs }); err == nil {
-		t.Fatal("out-of-range ID accepted")
-	}
-	if err := tamper(func(d *shardJSON) { d.IDs = d.IDs[:len(d.IDs)-1] }); err == nil {
-		t.Fatal("ID/stat count mismatch accepted")
-	}
-	// An explicit empty ids array (hand-edited file; omitempty means our
-	// own encoder never writes one) must fail cleanly, not panic.
-	data, err := split(0).JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["ids"] = json.RawMessage(`[]`)
-	doc["stats"] = json.RawMessage(`[]`)
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeShard(raw); err == nil || !strings.Contains(err.Error(), "empty") {
-		t.Fatalf("empty ID set: %v, want empty-set error", err)
 	}
 }

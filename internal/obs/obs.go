@@ -1,7 +1,7 @@
 // Package obs is the deterministic observability layer shared by batch
-// runs, the scheduler daemon and sweep workers: counters, gauges and
-// fixed-bucket histograms over the VIRTUAL clock, a Prometheus text
-// exposition writer, and a Chrome trace-event span builder over the
+// runs, the scheduler daemon and sweep workers: fixed-bucket histograms
+// over the VIRTUAL clock, a Prometheus text exposition writer (counters,
+// gauges and histograms), and a Chrome trace-event span builder over the
 // internal/trace event stream.
 //
 // Two properties are contractual:
@@ -23,31 +23,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Counter is a monotonically increasing value.
-type Counter struct{ v float64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d (negative deltas are a caller bug and are ignored).
-func (c *Counter) Add(d float64) {
-	if d > 0 {
-		c.v += d
-	}
-}
-
-// Value returns the current total.
-func (c *Counter) Value() float64 { return c.v }
-
-// Gauge is a value that goes up and down.
-type Gauge struct{ v float64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram is a fixed-bucket histogram: Bounds holds the strictly
 // increasing finite upper bounds, and an implicit +Inf bucket catches the

@@ -173,16 +173,8 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	setting := experiments.NewSetting(cfg.Scale, cfg.Seed)
-	net, err := setting.BuildNet()
-	if err != nil {
-		return nil, fmt.Errorf("service: topology: %w", err)
-	}
-	var eng sim.Driver
-	if cfg.Shards > 1 {
-		eng = sim.NewSharded(cfg.Shards, net.N())
-	} else {
-		eng = sim.NewEngine()
+	if err := cfg.Price.Validate(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	// The daemon's observability is always on: histogram families for
 	// /metrics and a bounded event ring for per-workflow trace export.
@@ -191,23 +183,16 @@ func New(cfg Config) (*Service, error) {
 	// unobserved daemon (pinned by TestSoakDigestUnchangedByObservability).
 	gm := obs.NewGridMetrics()
 	tb := trace.NewBuffer(traceBufferCap)
-	g, err := grid.New(eng, grid.Config{Net: net, Seed: cfg.Seed, Obs: gm, Tracer: tb}, algo)
+	// The batch runs' assembly, so a daemon and a batch run at one seed
+	// build the same grid and price its nodes identically.
+	setting := experiments.NewSetting(cfg.Scale, cfg.Seed)
+	setting.Shards = cfg.Shards
+	setting.Price = cfg.Price
+	setting.Obs = gm
+	setting.Tracer = tb
+	eng, g, err := experiments.BuildGrid(setting, algo)
 	if err != nil {
-		return nil, fmt.Errorf("service: grid: %w", err)
-	}
-	if err := cfg.Price.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
-	}
-	if cfg.Price.Enabled() {
-		caps := make([]float64, len(g.Nodes))
-		for i := range g.Nodes {
-			caps[i] = g.Nodes[i].Capacity
-		}
-		// Same seed split as the batch experiments, so a daemon and a batch
-		// run at one seed price their nodes identically.
-		if err := g.SetPrices(cfg.Price.Rates(caps, stats.SplitSeed(cfg.Seed, 0x5C))); err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
 	}
 	logger := cfg.Log
 	if logger == nil {

@@ -2,12 +2,9 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitSeedDistinctStreams(t *testing.T) {
@@ -174,98 +171,12 @@ func BenchmarkSampleWithoutInto(b *testing.B) {
 	}
 }
 
-func TestSummarizeKnownValues(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if s.Mean != 5 {
-		t.Fatalf("Mean = %v, want 5", s.Mean)
-	}
-	// Sample std of this classic dataset is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Fatalf("Std = %v, want %v", s.Std, want)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.Median != 4.5 {
-		t.Fatalf("Median = %v, want 4.5", s.Median)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Fatalf("empty summary N = %d", s.N)
-	}
-	s := Summarize([]float64{3})
-	if s.N != 1 || s.Mean != 3 || s.Std != 0 || s.Median != 3 {
-		t.Fatalf("single summary wrong: %+v", s)
-	}
-}
-
-func TestPercentileEndpoints(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4}
-	if Percentile(sorted, 0) != 1 || Percentile(sorted, 1) != 4 {
-		t.Fatal("percentile endpoints wrong")
-	}
-	if got := Percentile(sorted, 0.5); got != 2.5 {
-		t.Fatalf("median = %v, want 2.5", got)
-	}
-}
-
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1000: 10, 1024: 10, 1025: 11, 2000: 11}
 	for n, want := range cases {
 		if got := Log2Ceil(n); got != want {
 			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
 		}
-	}
-}
-
-// Property: mean lies within [min, max] and percentiles are monotone.
-func TestQuickSummaryInvariants(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, math.Mod(v, 1e9))
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		s := Summarize(xs)
-		if s.Mean < s.Min-1e-9 || s.Mean > s.Max+1e-9 {
-			return false
-		}
-		return s.P10 <= s.Median+1e-9 && s.Median <= s.P90+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Percentile is monotone in p.
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		sort.Float64s(xs)
-		pa := math.Abs(math.Mod(a, 1))
-		pb := math.Abs(math.Mod(b, 1))
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		return Percentile(xs, pa) <= Percentile(xs, pb)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,82 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Summary holds descriptive statistics of a sample. It is the unit the
-// experiment harness reports for every metric series point.
-type Summary struct {
-	N          int
-	Mean       float64
-	Std        float64
-	Min, Max   float64
-	Median     float64
-	P10, P90   float64
-	Sum        float64
-	SumSquares float64
-}
-
-// Summarize computes descriptive statistics over xs. An empty sample yields
-// a zero Summary (N == 0), letting callers distinguish "no data" cheaply.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.Sum += x
-		s.SumSquares += x * x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	if s.N > 1 {
-		variance := (s.SumSquares - s.Sum*s.Sum/float64(s.N)) / float64(s.N-1)
-		if variance > 0 {
-			s.Std = math.Sqrt(variance)
-		}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Percentile(sorted, 0.5)
-	s.P10 = Percentile(sorted, 0.1)
-	s.P90 = Percentile(sorted, 0.9)
-	return s
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 1) of an already sorted
-// sample using linear interpolation between closest ranks.
-func Percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	switch {
-	case n == 0:
-		return 0
-	case n == 1:
-		return sorted[0]
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean is a convenience over Summarize for the common single-number case.
+// Mean returns the arithmetic mean of xs, or 0 for an empty sample.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -95,7 +95,7 @@ type SweepCell struct {
 }
 
 // Shard is a mergeable partial sweep result: the per-replication stats of
-// one job-ID subset, carrying the full spec (hash-verified on decode) so a
+// one contiguous job-ID window [lo,hi), carrying the full spec (hash-verified on decode) so a
 // merge can prove all shards ran the identical sweep. S is the producer's
 // spec type.
 type Shard[S any] struct {
@@ -104,7 +104,6 @@ type Shard[S any] struct {
 	Lo     int                `json:"lo"`
 	Hi     int                `json:"hi"`
 	Jobs   int                `json:"jobs"`
-	IDs    []int              `json:"ids,omitempty"`
 	Spec   S                  `json:"spec"`
 	Stats  []metrics.RunStats `json:"stats"`
 }

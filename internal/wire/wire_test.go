@@ -52,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 	})
 	roundTrip(t, Shard[testSpec]{
 		Schema: ShardV1, Hash: "abc", Lo: 0, Hi: 2, Jobs: 8,
-		IDs: []int{0, 1}, Spec: testSpec{Name: "s", Reps: 3}, Stats: stats,
+		Spec: testSpec{Name: "s", Reps: 3}, Stats: stats,
 	})
 	roundTrip(t, CellCache{Schema: CellCacheV1, Stats: stats})
 	roundTrip(t, SweepWork[testSpec]{Schema: SweepWorkV1, Hash: "abc", Spec: testSpec{Name: "s"}})
@@ -78,11 +78,11 @@ func TestRoundTrip(t *testing.T) {
 // output, so a reordered or renamed field is a breaking change even when it
 // round-trips fine.
 func TestArtifactFieldOrder(t *testing.T) {
-	data, err := json.Marshal(Shard[testSpec]{Schema: ShardV1, Hash: "h", IDs: []int{1}})
+	data, err := json.Marshal(Shard[testSpec]{Schema: ShardV1, Hash: "h", Lo: 1, Hi: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"schema":"p2pgridsim/shard/v1","spec_hash":"h","lo":0,"hi":0,"jobs":0,"ids":[1],"spec":{"name":"","reps":0},"stats":null}`
+	want := `{"schema":"p2pgridsim/shard/v1","spec_hash":"h","lo":1,"hi":2,"jobs":0,"spec":{"name":"","reps":0},"stats":null}`
 	if string(data) != want {
 		t.Fatalf("shard encoding drifted:\n got %s\nwant %s", data, want)
 	}

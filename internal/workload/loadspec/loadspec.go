@@ -57,12 +57,6 @@ type Options struct {
 	Seed int64
 }
 
-// Resolve parses and validates an arrival/trace specification — the
-// pre-model entry point, equivalent to ResolveOptions with no Model.
-func Resolve(arrivalSpec, tracePath string, traceScale float64) (Spec, error) {
-	return ResolveOptions(Options{Arrival: arrivalSpec, Trace: tracePath, TraceScale: traceScale})
-}
-
 // ResolveOptions parses and validates a workload specification (see the
 // Options fields for the combination rules).
 func ResolveOptions(o Options) (Spec, error) {

@@ -14,7 +14,7 @@ import (
 
 func TestResolve(t *testing.T) {
 	// Plain arrival process, no trace.
-	sp, err := Resolve("poisson:120", "", 1)
+	sp, err := ResolveOptions(Options{Arrival: "poisson:120", TraceScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestResolve(t *testing.T) {
 	}
 
 	// Empty spec: the batch workload.
-	sp, err = Resolve("", "", 0)
+	sp, err = ResolveOptions(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +34,18 @@ func TestResolve(t *testing.T) {
 	// "trace" alone defaults to the bundled sample; a bare -trace also
 	// selects replay.
 	for _, args := range [][2]string{{"trace", ""}, {"", "sample"}, {"trace", "sample"}} {
-		sp, err = Resolve(args[0], args[1], 1)
+		sp, err = ResolveOptions(Options{Arrival: args[0], Trace: args[1], TraceScale: 1})
 		if err != nil {
-			t.Fatalf("Resolve(%q, %q): %v", args[0], args[1], err)
+			t.Fatalf("ResolveOptions(%q, %q): %v", args[0], args[1], err)
 		}
 		if sp.Trace == nil || len(sp.Trace.Jobs) == 0 {
-			t.Fatalf("Resolve(%q, %q) left Trace empty", args[0], args[1])
+			t.Fatalf("ResolveOptions(%q, %q) left Trace empty", args[0], args[1])
 		}
 	}
 
 	// Scaling compresses submit times.
-	full, _ := Resolve("trace", "", 1)
-	half, err := Resolve("trace", "", 0.5)
+	full, _ := ResolveOptions(Options{Arrival: "trace", TraceScale: 1})
+	half, err := ResolveOptions(Options{Arrival: "trace", TraceScale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func TestResolveErrors(t *testing.T) {
 		{"", "no-such-file.swf", 1, "no-such-file.swf"},
 	}
 	for _, tc := range cases {
-		_, err := Resolve(tc.arrival, tc.trace, tc.scale)
+		_, err := ResolveOptions(Options{Arrival: tc.arrival, Trace: tc.trace, TraceScale: tc.scale})
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("Resolve(%q, %q, %v) = %v, want error containing %q",
+			t.Errorf("ResolveOptions(%q, %q, %v) = %v, want error containing %q",
 				tc.arrival, tc.trace, tc.scale, err, tc.wantErr)
 		}
 	}
@@ -156,7 +156,7 @@ func TestResolveLoadsFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(swf), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Resolve("trace", path, 1)
+	sp, err := ResolveOptions(Options{Arrival: "trace", Trace: path, TraceScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
