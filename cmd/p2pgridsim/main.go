@@ -155,6 +155,7 @@ type options struct {
 	maxLF      int
 	reps       int
 	repsSet    bool // -reps given explicitly (-precision caps cells only then)
+	maxLFSet   bool // -maxlf given explicitly (a sweep reads it only on its lf axis)
 	axes       string
 	out        string
 	artifacts  string
@@ -432,6 +433,8 @@ func (o *options) validate() error {
 		return fmt.Errorf("-arrival does not combine with -axes arrival (the axis is the intensity ladder); use -trace to add a replay cell")
 	case (o.sla != "" || o.price != "") && hasAxis(o.axes, "sla"):
 		return fmt.Errorf("-sla/-price do not combine with -axes sla (the axis carries its own ladder and pricing)")
+	case o.maxLFSet && o.experiment == "sweep" && !hasAxis(o.axes, "lf") && !hasAxis(o.axes, "load"):
+		return fmt.Errorf("-maxlf sets the top of the load-factor axis; a sweep reads it only with lf (or load) in -axes")
 	}
 	if o.shard != "" {
 		if _, _, err := parseShard(o.shard); err != nil {
@@ -513,7 +516,10 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 			fs.Args(), fs.Arg(0))
 		return 2
 	}
-	fs.Visit(func(f *flag.Flag) { o.repsSet = o.repsSet || f.Name == "reps" })
+	fs.Visit(func(f *flag.Flag) {
+		o.repsSet = o.repsSet || f.Name == "reps"
+		o.maxLFSet = o.maxLFSet || f.Name == "maxlf"
+	})
 	m, err := checkScopes(fs)
 	if err == nil {
 		err = o.validate()

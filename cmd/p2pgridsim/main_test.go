@@ -78,6 +78,8 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 		{"missing trace file", 2, []string{"-experiment", "single", "-scale", "tiny", "-trace", "/nonexistent-dir/t.swf"}},
 		{"trace with non-trace arrival", 2, []string{"-experiment", "single", "-scale", "tiny", "-arrival", "poisson:10", "-trace", "sample"}},
 		{"arrival with arrival axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "arrival", "-arrival", "poisson:10"}},
+		{"maxlf without lf axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "algo,churn", "-maxlf", "4"}},
+		{"maxlf on a shard without lf axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "", "-shard", "0/2", "-maxlf", "4"}},
 		{"arrival experiment with -arrival", 2, []string{"-experiment", "arrival", "-scale", "tiny", "-arrival", "poisson:10"}},
 		{"sla with sla axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "sla", "-sla", "deadline:2"}},
 		{"price with sla axis", 2, []string{"-experiment", "sweep", "-scale", "tiny", "-axes", "algo,sla", "-price", "1"}},

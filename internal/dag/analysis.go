@@ -51,8 +51,17 @@ func (e Estimates) ETT(edge Edge) float64 {
 //
 // i.e. the longest expected execution time along any path from t to the exit
 // task, counting t itself. The returned slice is indexed by TaskID.
-func RPM(w *Workflow, est Estimates) []float64 {
-	rpm := make([]float64, w.Len())
+func RPM(w *Workflow, est Estimates) []float64 { return RPMInto(w, est, nil) }
+
+// RPMInto is RPM writing into buf's backing array, which is replaced only
+// when it holds fewer than w.Len() values. The result aliases buf, so it is
+// valid only until the buffer's next use.
+func RPMInto(w *Workflow, est Estimates, buf []float64) []float64 {
+	rpm := buf[:0]
+	if cap(rpm) < w.Len() {
+		rpm = make([]float64, w.Len())
+	}
+	rpm = rpm[:w.Len()]
 	topo := w.TopoOrder()
 	for i := len(topo) - 1; i >= 0; i-- {
 		t := topo[i]

@@ -17,10 +17,8 @@ func (w *Workflow) DOT() string {
 			fmt.Fprintf(&b, "  t%d [label=\"%s\\n%.0f MI\"];\n", t.ID, t.Name, t.Load)
 		}
 	}
-	for _, es := range w.succ {
-		for _, e := range es {
-			fmt.Fprintf(&b, "  t%d -> t%d [label=\"%.0f Mb\"];\n", e.From, e.To, e.DataMb)
-		}
+	for _, e := range w.succ {
+		fmt.Fprintf(&b, "  t%d -> t%d [label=\"%.0f Mb\"];\n", e.From, e.To, e.DataMb)
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -115,6 +115,25 @@ func TestQuickGeneratedWorkflowsWellFormed(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocationsDoNotGrowWithTasks pins the flat build: every
+// slice is sized from the task count and all task names share one string,
+// so a 30-task workflow costs as many allocations as a 2-task one.
+func TestGenerateAllocationsDoNotGrowWithTasks(t *testing.T) {
+	allocs := func(n float64) float64 {
+		cfg := DefaultGenConfig()
+		cfg.Tasks = stats.Range{Min: n, Max: n}
+		rng := stats.NewRand(1, 7)
+		return testing.AllocsPerRun(200, func() {
+			if _, err := Generate("wf-123-4", cfg, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2), allocs(30); small != large {
+		t.Fatalf("Generate allocates %v times at 2 tasks and %v at 30, want equal", small, large)
+	}
+}
+
 func BenchmarkGenerateWorkflow(b *testing.B) {
 	rng := stats.NewRand(1, 5)
 	cfg := DefaultGenConfig()

@@ -29,27 +29,20 @@ type jsonWorkflow struct {
 }
 
 // MarshalJSON encodes the workflow's real tasks and edges. Task indices in
-// the encoded edges refer to positions in the encoded task list.
+// the encoded edges refer to positions in the encoded task list, which are
+// the task IDs: the construction appends virtual tasks after the real ones.
 func (w *Workflow) MarshalJSON() ([]byte, error) {
 	jw := jsonWorkflow{Name: w.Name}
-	// Map real task ids to compact indices.
-	index := make(map[TaskID]int, len(w.tasks))
 	for _, t := range w.tasks {
-		if t.Virtual {
-			continue
+		if !t.Virtual {
+			jw.Tasks = append(jw.Tasks, jsonTask{Name: t.Name, LoadMI: t.Load, ImageMb: t.ImageMb})
 		}
-		index[t.ID] = len(jw.Tasks)
-		jw.Tasks = append(jw.Tasks, jsonTask{Name: t.Name, LoadMI: t.Load, ImageMb: t.ImageMb})
 	}
-	for _, es := range w.succ {
-		for _, e := range es {
-			fi, fok := index[e.From]
-			ti, tok := index[e.To]
-			if !fok || !tok {
-				continue // edges to virtual tasks are normalization artifacts
-			}
-			jw.Edges = append(jw.Edges, jsonEdge{From: fi, To: ti, DataMb: e.DataMb})
+	for _, e := range w.succ {
+		if w.tasks[e.From].Virtual || w.tasks[e.To].Virtual {
+			continue // edges to virtual tasks are normalization artifacts
 		}
+		jw.Edges = append(jw.Edges, jsonEdge{From: int(e.From), To: int(e.To), DataMb: e.DataMb})
 	}
 	return json.Marshal(jw)
 }
@@ -64,16 +57,16 @@ func UnmarshalWorkflow(data []byte) (*Workflow, error) {
 	if len(jw.Tasks) == 0 {
 		return nil, fmt.Errorf("dag: workflow %q has no tasks", jw.Name)
 	}
-	b := NewBuilder(jw.Name)
-	ids := make([]TaskID, len(jw.Tasks))
+	tasks := make([]Task, len(jw.Tasks), len(jw.Tasks)+2)
 	for i, t := range jw.Tasks {
-		ids[i] = b.AddTask(t.Name, t.LoadMI, t.ImageMb)
+		tasks[i] = Task{ID: TaskID(i), Name: t.Name, Load: t.LoadMI, ImageMb: t.ImageMb}
 	}
-	for _, e := range jw.Edges {
-		if e.From < 0 || e.From >= len(ids) || e.To < 0 || e.To >= len(ids) {
+	edges := make([]Edge, len(jw.Edges))
+	for i, e := range jw.Edges {
+		if e.From < 0 || e.From >= len(tasks) || e.To < 0 || e.To >= len(tasks) {
 			return nil, fmt.Errorf("dag: edge %d->%d out of range", e.From, e.To)
 		}
-		b.AddEdge(ids[e.From], ids[e.To], e.DataMb)
+		edges[i] = Edge{From: TaskID(e.From), To: TaskID(e.To), DataMb: e.DataMb}
 	}
-	return b.Build()
+	return build(jw.Name, tasks, edges)
 }

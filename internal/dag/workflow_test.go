@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -253,5 +254,42 @@ func TestScaleLoadsRederivesVirtualTasks(t *testing.T) {
 	}
 	if !scaled.Task(scaled.Entry()).Virtual || scaled.Task(scaled.Entry()).Load != 0 {
 		t.Fatal("virtual entry must stay zero-cost")
+	}
+}
+
+// TestAdjacencyAppendDoesNotAlias pins the capped adjacency slices: every
+// task's edges share two arrays, so an append to one task's list must copy
+// rather than overwrite the next task's edges.
+func TestAdjacencyAppendDoesNotAlias(t *testing.T) {
+	b := NewBuilder("alias")
+	for i := 0; i < 5; i++ {
+		b.AddTask("t", 1, 1)
+	}
+	for _, e := range [][2]TaskID{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 4}} {
+		b.AddEdge(e[0], e[1], 1)
+	}
+	w, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (succ, pred [][]Edge) {
+		for id := 0; id < w.Len(); id++ {
+			succ = append(succ, append([]Edge(nil), w.Successors(TaskID(id))...))
+			pred = append(pred, append([]Edge(nil), w.Predecessors(TaskID(id))...))
+		}
+		return succ, pred
+	}
+	wantSucc, wantPred := snapshot()
+	junk := Edge{From: 99, To: 99, DataMb: -1}
+	for id := 0; id < w.Len(); id++ {
+		_ = append(w.Successors(TaskID(id)), junk)
+		_ = append(w.Predecessors(TaskID(id)), junk)
+	}
+	gotSucc, gotPred := snapshot()
+	for id := range wantSucc {
+		if !slices.Equal(gotSucc[id], wantSucc[id]) || !slices.Equal(gotPred[id], wantPred[id]) {
+			t.Fatalf("task %d: appends elsewhere changed its edges to %v / %v, want %v / %v",
+				id, gotSucc[id], gotPred[id], wantSucc[id], wantPred[id])
+		}
 	}
 }

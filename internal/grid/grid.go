@@ -167,6 +167,7 @@ type Grid struct {
 	pendingPlan []*WorkflowInstance // submitted before Start, planner mode
 	dispatchSeq int
 	rssBuf      []gossip.StateRecord // scratch for RSSView
+	rpmBuf      []float64            // scratch for Submit's eft(f)
 
 	// Counters maintained incrementally for metrics.
 	CompletedCount int

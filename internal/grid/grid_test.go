@@ -737,3 +737,23 @@ func TestSubmitStreamEmpty(t *testing.T) {
 		t.Fatal("empty stream queued an event")
 	}
 }
+
+// TestSubmitAllocationsConstantPerWorkflow pins Submit's cost: the
+// workflow instance, one slab of task instances and its pointer slice,
+// with eft(f) priced in a grid-owned buffer, whatever the task count.
+func TestSubmitAllocationsConstantPerWorkflow(t *testing.T) {
+	allocs := func(tasks int) float64 {
+		_, g := newTestGrid(t, 4, 1)
+		w := chainWorkflow(t, tasks)
+		g.Workflows = make([]*WorkflowInstance, 0, 256)
+		g.Nodes[0].Homed = make([]*WorkflowInstance, 0, 256)
+		return testing.AllocsPerRun(100, func() {
+			if _, err := g.Submit(0, w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2), allocs(30); small != 3 || large != 3 {
+		t.Fatalf("Submit allocates %v times for 2 tasks and %v for 30, want 3", small, large)
+	}
+}

@@ -168,17 +168,21 @@ func (g *Grid) Submit(home int, w *dag.Workflow) (*WorkflowInstance, error) {
 		return nil, fmt.Errorf("grid: home node %d is not alive", home)
 	}
 	now := g.Engine.Now()
+	g.rpmBuf = dag.RPMInto(w, dag.Estimates{AvgCapacityMIPS: g.trueAvgCap, AvgBandwidthMbs: g.trueAvgBW}, g.rpmBuf)
 	wf := &WorkflowInstance{
 		Seq:         len(g.Workflows),
 		W:           w,
 		Home:        home,
 		SubmittedAt: now,
-		EFT:         dag.ExpectedFinishTime(w, dag.Estimates{AvgCapacityMIPS: g.trueAvgCap, AvgBandwidthMbs: g.trueAvgBW}),
+		EFT:         g.rpmBuf[w.Entry()], // eft(f) = RPM(entry), see dag.ExpectedFinishTime
 		State:       WorkflowActive,
 	}
+	// One slab holds every task instance of the workflow.
+	slab := make([]TaskInstance, w.Len())
 	wf.Tasks = make([]*TaskInstance, w.Len())
-	for i := range wf.Tasks {
-		wf.Tasks[i] = &TaskInstance{WF: wf, ID: dag.TaskID(i), State: TaskBlocked, Node: -1}
+	for i := range slab {
+		slab[i] = TaskInstance{WF: wf, ID: dag.TaskID(i), State: TaskBlocked, Node: -1}
+		wf.Tasks[i] = &slab[i]
 	}
 	g.Workflows = append(g.Workflows, wf)
 	g.Nodes[home].Homed = append(g.Nodes[home].Homed, wf)

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/stats"
@@ -77,9 +78,12 @@ func Generate(cfg Config) ([]Submission, error) {
 	}
 	rng := stats.NewRand(cfg.Seed, 0x33)
 	subs := make([]Submission, 0, cfg.Nodes*cfg.LoadFactor)
+	var name []byte
 	for home := 0; home < cfg.Nodes; home++ {
 		for j := 0; j < cfg.LoadFactor; j++ {
-			w, err := dag.Generate(fmt.Sprintf("wf-%d-%d", home, j), cfg.Gen, rng)
+			name = strconv.AppendInt(append(name[:0], "wf-"...), int64(home), 10)
+			name = strconv.AppendInt(append(name, '-'), int64(j), 10)
+			w, err := dag.Generate(string(name), cfg.Gen, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +122,7 @@ func generateTrace(cfg Config) ([]Submission, error) {
 			return nil, fmt.Errorf("workload: trace submit times decrease at job %d", i)
 		}
 		prev = job.Submit
-		w, err := dag.Generate(fmt.Sprintf("tr-%d", i), cfg.Gen, rng)
+		w, err := dag.Generate("tr-"+strconv.Itoa(i), cfg.Gen, rng)
 		if err != nil {
 			return nil, err
 		}
