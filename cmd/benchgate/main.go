@@ -16,6 +16,11 @@
 // three are averages over the b.N iterations, each its own seed, so they
 // compare only at the iteration count the baseline was recorded at: input
 // run at any other count is refused.
+//
+// A baseline is recorded by one run with -record-candidate on the recording
+// host: it writes the medians and the calibration kernel's pass time,
+// measured in the same run, so the ratio the calibrated fallback scales by
+// compares two numbers taken under the same host load.
 package main
 
 import (
@@ -59,9 +64,10 @@ type envBaseline struct {
 }
 
 // calibrationBlock records the fixed-work calibration kernel's pass time
-// on the recorded host (see calibrate.go). When present, the recorded-host
-// fallback scales its ns/op baseline by (local pass time / recorded pass
-// time) so unknown CPUs gate at the normal threshold instead of loosely.
+// on the recorded host (see calibrate.go), from the same -record-candidate
+// run as the metrics. When present, the recorded-host fallback scales its
+// ns/op baseline by (local pass time / recorded pass time) so unknown CPUs
+// gate at the normal threshold instead of loosely.
 type calibrationBlock struct {
 	NsPerPass float64 `json:"ns_per_pass"`
 }
@@ -150,10 +156,9 @@ func gateMain(args []string, stdout, stderr io.Writer) int {
 		input        = fs.String("input", "-", "benchmark output file (- for stdin)")
 		threshold    = fs.Float64("threshold", 0, "override both regression thresholds (0 = use the baseline's)")
 		cpu          = fs.String("cpu", "", "CPU model selecting a per-CPU baseline entry (default: auto-detect from /proc/cpuinfo; unmatched models fall back to the recorded host)")
-		calOnly      = fs.Bool("calibrate", false, "measure the fixed-work calibration kernel on this host, print its pass time, and exit (record it as the baseline's calibration.ns_per_pass)")
 		calNS        = fs.Float64("calibration-ns", 0, "use this as the local calibration pass time instead of measuring (tests and pre-measured hosts)")
 		calPasses    = fs.Int("calibration-passes", 5, "calibration kernel repetitions (the median is used)")
-		candidate    = fs.String("record-candidate", "", "write a per-CPU baseline candidate entry (this host's medians + calibration) to this file, for hand promotion into the baseline's baselines array")
+		candidate    = fs.String("record-candidate", "", "write a baseline candidate (this host's medians and its calibration pass time, measured in this one run) to this file: promote its entry into the baseline's baselines array, or its metrics and calibration_ns_per_pass into the top-level metrics and calibration")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -170,16 +175,6 @@ func gateMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchgate: -calibration-ns must be non-negative, got %v\n", *calNS)
 		return 2
 	}
-	localCal := func() float64 {
-		if *calNS > 0 {
-			return *calNS
-		}
-		return calibrate(*calPasses)
-	}
-	if *calOnly {
-		fmt.Fprintf(stdout, "benchgate: calibration %.0f ns/pass (median of %d)\n", localCal(), *calPasses)
-		return 0
-	}
 
 	base, err := loadBaseline(*baselinePath)
 	if err != nil {
@@ -192,9 +187,9 @@ func gateMain(args []string, stdout, stderr io.Writer) int {
 	}
 	note, fallback := base.resolve(model)
 	fmt.Fprintf(stdout, "benchgate: using %s\n", note)
-	measuredCal := 0.0
-	if (fallback && base.Calibration.NsPerPass > 0) || *candidate != "" {
-		measuredCal = localCal()
+	measuredCal := *calNS
+	if measuredCal == 0 && ((fallback && base.Calibration.NsPerPass > 0) || *candidate != "") {
+		measuredCal = calibrate(*calPasses)
 	}
 	if fallback && base.Calibration.NsPerPass > 0 {
 		// Calibrated fallback: scale the recorded ns/op to this host's

@@ -132,6 +132,7 @@ import (
 	"repro/internal/economy"
 	"repro/internal/experiments"
 	"repro/internal/experiments/executor"
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload/arrival"
@@ -748,7 +749,7 @@ func runSingle(o options) error {
 		// lifecycle events at most; if a paper-scale run overflows the
 		// ring, the oldest spans drop and the export simply starts later.
 		tb = trace.NewBuffer(1 << 18)
-		setting.Tracer = tb
+		setting.Tap = grid.TraceTap{Buf: tb}
 	}
 	res, err := experiments.SingleRunWith(setting, o.algo)
 	if err != nil {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -41,10 +43,23 @@ func TestObsFlagValidation(t *testing.T) {
 	}
 }
 
+// Byte pins of the trace ring's two CLI consumers at -scale tiny -seed
+// 2010, recorded before the grid reported through one tap.
+const (
+	traceOutDigest = "b53e1dfc376239899842cf1633e99c123ea448d76f807095ec64ceff7a199478"
+	ganttDigest    = "cb2e39fd70d9f9848470bdd2535b6a16f1a47a5b8b640e070904a90e63f4df79"
+)
+
+// sha256Hex returns the hex SHA-256 of b.
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestTraceOutWritesChromeTrace is the satellite acceptance check: the
 // -trace-out file of a single run is structurally valid Chrome
 // trace-event JSON — parseable, non-empty, with only known phases and
-// non-negative durations.
+// non-negative durations — and its bytes are pinned.
 func TestTraceOutWritesChromeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	code, _, stderr := runCLI("-experiment", "single", "-scale", "tiny", "-trace-out", path)
@@ -57,6 +72,9 @@ func TestTraceOutWritesChromeTrace(t *testing.T) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := sha256Hex(data); got != traceOutDigest {
+		t.Errorf("trace file digest %s, want %s", got, traceOutDigest)
 	}
 	var doc struct {
 		TraceEvents []struct {
@@ -91,7 +109,8 @@ func TestTraceOutWritesChromeTrace(t *testing.T) {
 }
 
 // TestGanttFlagRendersChart wires the satellite: -gantt on a single run
-// prints the per-node ASCII Gantt chart after the metrics series.
+// prints the per-node ASCII Gantt chart after the metrics series, byte for
+// byte as pinned.
 func TestGanttFlagRendersChart(t *testing.T) {
 	code, stdout, stderr := runCLI("-experiment", "single", "-scale", "tiny", "-gantt")
 	if code != 0 {
@@ -99,6 +118,9 @@ func TestGanttFlagRendersChart(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "node") || !strings.Contains(stdout, "gantt") {
 		t.Fatalf("no gantt chart in output:\n%s", stdout)
+	}
+	if got := sha256Hex([]byte(stdout)); got != ganttDigest {
+		t.Errorf("stdout digest %s, want %s", got, ganttDigest)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 func main() {
 	engine := sim.NewEngine()
 	buf := trace.NewBuffer(1 << 16)
-	g, err := grid.New(engine, grid.Config{Nodes: 8, Seed: 5, Tracer: buf}, core.NewDSMF())
+	g, err := grid.New(engine, grid.Config{Nodes: 8, Seed: 5, Tap: grid.TraceTap{Buf: buf}}, core.NewDSMF())
 	if err != nil {
 		log.Fatal(err)
 	}

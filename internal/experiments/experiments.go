@@ -16,11 +16,9 @@ import (
 	"repro/internal/grid"
 	"repro/internal/heuristics"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/workload/arrival"
 	"repro/internal/workload/traces"
@@ -105,14 +103,12 @@ type Setting struct {
 	// serialized artifacts and cache identities.
 	Shards int `json:"-"`
 
-	// Tracer, when non-nil, receives the run's lifecycle event stream
-	// (dispatches, transfers, executions, completions) — the feed behind
-	// -trace-out span export and the ASCII Gantt. Obs, when non-nil,
-	// collects the virtual-time latency histograms. Both are pure
-	// observation: they never feed back into simulation state and are
+	// Tap, when non-nil, receives the run's event stream (grid.Config.Tap):
+	// a grid.TraceTap feeds -trace-out span export and the ASCII Gantt,
+	// an *obs.GridMetrics the virtual-time latency histograms. A tap is
+	// pure observation: it never feeds back into simulation state and is
 	// excluded from serialized artifacts and cache identities.
-	Tracer trace.Recorder   `json:"-"`
-	Obs    *obs.GridMetrics `json:"-"`
+	Tap grid.Tap `json:"-"`
 }
 
 // NewSetting builds the default Table I setting at the given scale: the
@@ -190,8 +186,7 @@ func BuildGrid(setting Setting, algo grid.Algorithm) (sim.Driver, *grid.Grid, er
 		UseOracleAverages:  setting.OracleAverages,
 		RescheduleFailed:   setting.RescheduleFailed,
 		HarshChurn:         setting.Harsh,
-		Tracer:             setting.Tracer,
-		Obs:                setting.Obs,
+		Tap:                setting.Tap,
 	}, algo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: grid: %w", err)

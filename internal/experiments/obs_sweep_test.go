@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -73,10 +74,10 @@ func TestSweepObsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSettingObservationFieldsInvisible pins that the observation fields
-// on Setting are excluded from every JSON-derived identity (cell-cache
+// TestSettingObservationFieldsInvisible pins that the observation field
+// on Setting is excluded from every JSON-derived identity (cell-cache
 // keys, spec hashes, shard partials): a Setting marshals to the same
-// bytes with and without a tracer and metrics sink attached. The cell key
+// bytes with and without a trace ring and metrics tap attached. The cell key
 // itself is additionally pinned as independent of the replication count,
 // which is what lets a higher-Reps plan extend a cached prefix.
 func TestSettingObservationFieldsInvisible(t *testing.T) {
@@ -89,8 +90,7 @@ func TestSettingObservationFieldsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setting.Obs = obs.NewGridMetrics()
-	setting.Tracer = trace.NewBuffer(8)
+	setting.Tap = grid.Taps{obs.NewGridMetrics(), grid.TraceTap{Buf: trace.NewBuffer(8)}}
 	decorated, err := json.Marshal(setting)
 	if err != nil {
 		t.Fatal(err)

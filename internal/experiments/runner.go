@@ -304,33 +304,32 @@ func (st *sweepState) openCell(c int) error {
 // executeSweepJob simulates one job: build-or-reuse the pair's shared
 // topology (first caller generates it), run the algorithm, and reduce the
 // outcome. The full Result is returned alongside the reduced record for
-// callers that retain runs.
-func (st *sweepState) executeSweepJob(j SweepJob, pn *pairNet) (metrics.RunStats, Result, error) {
+// callers that retain runs, and the run's histograms when opts.Obs is set.
+func (st *sweepState) executeSweepJob(j SweepJob, pn *pairNet) (metrics.RunStats, Result, *obs.GridMetrics, error) {
 	sc := j.Scenario
 	pn.once.Do(func() {
 		pn.net, pn.err = topology.Generate(topoConfig(sc.Scale.Nodes, j.Seed))
 	})
 	if pn.err != nil {
-		return metrics.RunStats{}, Result{}, fmt.Errorf("experiments: sweep topology (scale %s, rep %d): %w",
+		return metrics.RunStats{}, Result{}, nil, fmt.Errorf("experiments: sweep topology (scale %s, rep %d): %w",
 			sc.Scale.Name, j.Rep, pn.err)
 	}
 	a, err := heuristics.ByName(j.Algo)
 	if err != nil {
-		return metrics.RunStats{}, Result{}, err // unreachable after validate; belt and braces
+		return metrics.RunStats{}, Result{}, nil, err // unreachable after validate; belt and braces
 	}
 	setting := sc.setting(j.Seed, pn.net, st.plan.spec.Reschedule)
 	setting.Shards = st.opts.Shards
+	var gm *obs.GridMetrics
 	if st.opts.Obs {
-		// The collected metrics travel back on the returned Result's
-		// Setting (Run copies the setting verbatim), so no extra return
-		// threads through the executor plumbing.
-		setting.Obs = obs.NewGridMetrics()
+		gm = obs.NewGridMetrics()
+		setting.Tap = gm
 	}
 	res, err := Run(setting, a)
 	if err != nil {
-		return metrics.RunStats{}, Result{}, err
+		return metrics.RunStats{}, Result{}, nil, err
 	}
-	return metrics.ReduceRun(&res.Collector, res.Final, res.Submitted, res.CCR), res, nil
+	return metrics.ReduceRun(&res.Collector, res.Final, res.Submitted, res.CCR), res, gm, nil
 }
 
 // runJob executes one job on a pool worker: simulate via executeSweepJob
@@ -341,7 +340,7 @@ func (st *sweepState) runJob(id int) error {
 	st.mu.Lock()
 	pn := st.pairs[pk]
 	st.mu.Unlock()
-	sts, res, err := st.executeSweepJob(j, pn)
+	sts, res, gm, err := st.executeSweepJob(j, pn)
 	if err != nil {
 		return err
 	}
@@ -356,7 +355,7 @@ func (st *sweepState) runJob(id int) error {
 		cs.runs[j.Rep] = res
 	}
 	if st.opts.Obs {
-		cs.obs[j.Rep] = res.Setting.Obs
+		cs.obs[j.Rep] = gm
 	}
 	st.done++
 	if st.opts.Progress != nil {
@@ -484,9 +483,6 @@ type ShardResult struct {
 	// Stats[i] is the record of job Lo+i.
 	Stats []metrics.RunStats
 }
-
-// NumCovered returns the number of jobs this shard covers.
-func (s *ShardResult) NumCovered() int { return s.Hi - s.Lo }
 
 // RunShard executes only shard `shard` of `shards` over the spec's job
 // matrix: the [lo,hi) ID range of the canonical enumeration, as split by

@@ -692,3 +692,6 @@ func TestRaggedSweepJSONSchema(t *testing.T) {
 		t.Fatalf("%d cells carry an explicit reps field, want exactly the short min-min cell", short)
 	}
 }
+
+// NumCovered returns the number of jobs this shard covers.
+func (s *ShardResult) NumCovered() int { return s.Hi - s.Lo }

@@ -31,10 +31,13 @@ func runWithShards(t *testing.T, setting Setting, algo string, shards int) strin
 
 // TestShardInvariance pins the engine's headline guarantee: a K-shard run
 // is bit-identical to the serial run - same completions, same ACT/AE to
-// the last bit, same metric series - across the JIT path, the full-ahead
-// planner path, and churn with rescheduling.
+// the last bit, same metric series, and the same event stream and latency
+// histograms along the way - across the JIT path, the full-ahead planner
+// path, and churn with rescheduling.
 func TestShardInvariance(t *testing.T) {
 	tiny := ScaleByNameMust(t, "tiny")
+	churn := churnSetting(t, 77)
+	churn.RescheduleFailed = true
 	cases := []struct {
 		name    string
 		algo    string
@@ -42,22 +45,21 @@ func TestShardInvariance(t *testing.T) {
 	}{
 		{name: "jit-dsmf", algo: "DSMF", setting: NewSetting(tiny, 2010)},
 		{name: "planner-smf", algo: "SMF", setting: NewSetting(tiny, 2010)},
-		{name: "churn-reschedule", algo: "DSMF", setting: func() Setting {
-			s := NewSetting(tiny, 77)
-			s.Churn.DynamicFactor = 0.2
-			s.Churn.StableCount = tiny.Nodes / 2
-			s.Homes = tiny.Nodes / 2
-			s.RescheduleFailed = true
-			return s
-		}()},
+		{name: "churn-reschedule", algo: "DSMF", setting: churn},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := runWithShards(t, tc.setting, tc.algo, 1)
+			stream := tapRun(t, tc.setting, tc.algo)
 			for _, k := range []int{2, 4} {
 				if got := runWithShards(t, tc.setting, tc.algo, k); got != serial {
 					t.Errorf("shards=%d result differs from serial run\nserial: %.200s\nshards: %.200s",
 						k, serial, got)
+				}
+				sharded := tc.setting
+				sharded.Shards = k
+				if got := tapRun(t, sharded, tc.algo); got != stream {
+					t.Errorf("shards=%d event stream %+v, serial %+v", k, got, stream)
 				}
 			}
 		})

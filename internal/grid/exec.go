@@ -2,7 +2,8 @@ package grid
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/trace"
 )
 
 // Dispatch places schedule-point task t on resource node to, carrying its
@@ -38,8 +39,7 @@ func (g *Grid) Dispatch(t *TaskInstance, to int, rpm, ms float64) bool {
 	node.ReadySet = append(node.ReadySet, t)
 	node.TotalLoadMI += task.Load
 	g.commitCost(t, to)
-	g.emit(traceDispatch, to, nil, t)
-	g.observeDispatch(t, to)
+	g.emit(trace.KindDispatch, to, nil, t)
 
 	gen := t.gen
 	t.pendingInputs = 0
@@ -100,8 +100,7 @@ func (g *Grid) startInputTransfer(t *TaskInstance, src int, sizeMb float64, gen 
 		t.ReadyAt = at
 		node := &g.Nodes[t.Node]
 		node.ready = append(node.ready, t)
-		g.emit(traceReady, t.Node, nil, t)
-		g.observeReady(t, at)
+		g.emit(trace.KindReady, t.Node, nil, t)
 		g.maybeRun(node, at)
 	})
 }
@@ -122,8 +121,7 @@ func (g *Grid) maybeRun(node *Node, now float64) {
 	t.State = TaskRunning
 	t.StartedAt = now
 	node.Running = t
-	g.emit(traceExecStart, node.ID, nil, t)
-	g.observeExecStart(t, now)
+	g.emit(trace.KindExecStart, node.ID, nil, t)
 	gen := t.gen
 	dur := t.Task().Load / node.Capacity
 	g.Engine.After(dur, func(at float64) { g.taskFinished(t, gen, at) })
@@ -149,8 +147,7 @@ func (g *Grid) taskFinished(t *TaskInstance, gen int, now float64) {
 	t.State = TaskDone
 	t.NodeInc = node.Incarnation
 	t.FinishedAt = now
-	g.emit(traceExecEnd, node.ID, nil, t)
-	g.observeExecEnd(t, now)
+	g.emit(trace.KindExecEnd, node.ID, nil, t)
 	g.onTaskDone(t, now)
 	g.maybeRun(node, now)
 }
@@ -174,8 +171,7 @@ func (g *Grid) onTaskDone(t *TaskInstance, now float64) {
 			wf.DeadlineMissed = true
 		}
 		g.CompletedCount++
-		g.emit(traceWorkflowDone, -1, wf, nil)
-		g.observeWorkflowDone(wf, now)
+		g.emit(trace.KindWorkflowDone, -1, wf, nil)
 		return
 	}
 	for _, e := range wf.W.Successors(t.ID) {
@@ -202,12 +198,3 @@ func (n *Node) removeFromReadySet(t *TaskInstance) { n.ReadySet = removeTask(n.R
 
 // removeFromReady deletes t from the data-complete ready slice.
 func (n *Node) removeFromReady(t *TaskInstance) { n.ready = removeTask(n.ready, t) }
-
-// QueueDelay returns R(tau, p_h) = l_h / c_h, the conservative queuing-delay
-// estimate of Eq. 5, computed from an advertised state record.
-func QueueDelay(totalLoadMI, capacityMIPS float64) float64 {
-	if capacityMIPS <= 0 {
-		return math.Inf(1)
-	}
-	return totalLoadMI / capacityMIPS
-}

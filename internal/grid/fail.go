@@ -1,5 +1,7 @@
 package grid
 
+import "repro/internal/trace"
+
 // failTask marks a task as failed, detaches it from its resource node, and
 // either fails the whole workflow (the paper's base behaviour: "failed
 // tasks ... will be left to our future work") or, under the rescheduling
@@ -32,7 +34,7 @@ func (g *Grid) failTask(t *TaskInstance, now float64) {
 
 	g.releaseCost(t)
 	g.FailedTasks++
-	g.emit(traceTaskFailed, -1, nil, t)
+	g.emit(trace.KindTaskFailed, -1, nil, t)
 	if t.WF.State != WorkflowActive {
 		return
 	}
@@ -55,7 +57,7 @@ func (g *Grid) failWorkflow(wf *WorkflowInstance) {
 	}
 	wf.State = WorkflowFailed
 	g.FailedCount++
-	g.emit(traceWorkflowFailed, -1, wf, nil)
+	g.emit(trace.KindWorkflowFailed, -1, wf, nil)
 }
 
 // revertTask makes a failed task schedulable again. Under the harsh churn
@@ -118,7 +120,7 @@ func (g *Grid) failNode(node *Node, now float64) {
 	}
 	node.Alive = false
 	node.Incarnation++
-	g.emit(traceNodeDown, node.ID, nil, nil)
+	g.emit(trace.KindNodeDown, node.ID, nil, nil)
 	running := node.Running
 	victims := append([]*TaskInstance(nil), node.ReadySet...)
 	for _, t := range victims {
@@ -154,7 +156,7 @@ func (g *Grid) handBack(t *TaskInstance, now float64) {
 	t.pendingInputs = 0
 	t.State = TaskSchedulePoint // precedents were done at dispatch time
 	g.HandedBack++
-	g.emit(traceHandBack, -1, nil, t)
+	g.emit(trace.KindHandBack, -1, nil, t)
 }
 
 // reviveNode brings a previously departed node back as a fresh peer with an
@@ -165,7 +167,7 @@ func (g *Grid) reviveNode(node *Node, now float64) {
 	}
 	node.Alive = true
 	node.Incarnation++
-	g.emit(traceNodeUp, node.ID, nil, nil)
+	g.emit(trace.KindNodeUp, node.ID, nil, nil)
 	node.ReadySet = nil
 	node.ready = nil
 	node.Running = nil

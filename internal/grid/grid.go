@@ -18,11 +18,9 @@ import (
 	"math/rand"
 
 	"repro/internal/gossip"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // BandwidthEstimator is the network-status interface schedulers use. The
@@ -109,17 +107,12 @@ type Config struct {
 	RescheduleFailed bool
 	MaxReschedules   int
 
-	// Tracer, when non-nil, receives every runtime event (dispatches,
-	// executions, failures, churn) for debugging and visualization. See
-	// internal/trace for buffered recorders and Gantt rendering.
-	Tracer trace.Recorder
-
-	// Obs, when non-nil, receives virtual-time latency observations
-	// (queue waits, exec and transfer times, workflow completion,
-	// gossip staleness at dispatch, DBC candidate counts) into its
-	// histogram families. Like Tracer, a nil Obs costs one nil check
-	// per hook.
-	Obs *obs.GridMetrics
+	// Tap, when non-nil, receives every runtime event (submissions,
+	// dispatches, transfers, executions, failures, churn, DBC candidate
+	// counts); see Tap. TraceTap feeds the trace ring, *obs.GridMetrics
+	// the latency histograms, and Taps fans out to several. A nil Tap
+	// costs one nil check per event.
+	Tap Tap
 
 	// HarshChurn selects the maximal-loss churn semantics: a departing node
 	// destroys its whole ready set AND the outputs of tasks it completed
@@ -167,7 +160,7 @@ type Grid struct {
 	pendingPlan []*WorkflowInstance // submitted before Start, planner mode
 	dispatchSeq int
 	rssBuf      []gossip.StateRecord // scratch for RSSView
-	rpmBuf      []float64            // scratch for Submit's eft(f)
+	rpmBuf      []float64            // scratch for eft(f) and planned dispatches' RPM
 
 	// Counters maintained incrementally for metrics.
 	CompletedCount int
@@ -427,14 +420,3 @@ func (g *Grid) RSSView(node int) []gossip.StateRecord {
 // Estimator returns the bandwidth estimator schedulers must use for
 // transfer-time predictions.
 func (g *Grid) Estimator() BandwidthEstimator { return g.estimator }
-
-// AliveCount returns the number of alive nodes.
-func (g *Grid) AliveCount() int {
-	n := 0
-	for i := range g.Nodes {
-		if g.Nodes[i].Alive {
-			n++
-		}
-	}
-	return n
-}

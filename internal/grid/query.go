@@ -34,18 +34,6 @@ func (g *Grid) AddLoadHint(scheduler, target int, deltaMI float64) {
 	g.Gossip.AddLoadHint(scheduler, target, deltaMI)
 }
 
-// CompletedWorkflows returns every workflow that has finished, in
-// submission order.
-func (g *Grid) CompletedWorkflows() []*WorkflowInstance {
-	var out []*WorkflowInstance
-	for _, wf := range g.Workflows {
-		if wf.State == WorkflowCompleted {
-			out = append(out, wf)
-		}
-	}
-	return out
-}
-
 // ReadyCount reports how many of node's dispatched tasks are data-complete
 // (state TaskReady), i.e. eligible for the CPU right now.
 func (g *Grid) ReadyCount(node int) int { return len(g.Nodes[node].ready) }
@@ -62,13 +50,3 @@ func (g *Grid) PeekNext(node int) *TaskInstance {
 	}
 	return g.algo.Phase2.Pick(nd.ready)
 }
-
-// DoneTaskCount reports the number of completed tasks of a workflow
-// (virtual tasks included), for tests and progress tracing.
-func (wf *WorkflowInstance) DoneTaskCount() int { return wf.doneCount }
-
-// PredsDone exposes the activation counter for tests.
-func (t *TaskInstance) PredsDone() int { return t.predsDone }
-
-// PendingInputs exposes the in-flight transfer count for tests.
-func (t *TaskInstance) PendingInputs() int { return t.pendingInputs }

@@ -10,7 +10,7 @@ import (
 func TestTracerReceivesLifecycleEvents(t *testing.T) {
 	engine := sim.NewEngine()
 	buf := trace.NewBuffer(4096)
-	g, err := New(engine, Config{Nodes: 5, Seed: 91, Tracer: buf}, testAlgo())
+	g, err := New(engine, Config{Nodes: 5, Seed: 91, Tap: TraceTap{Buf: buf}}, testAlgo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTracerReceivesLifecycleEvents(t *testing.T) {
 func TestTracerObservesChurnEvents(t *testing.T) {
 	engine := sim.NewEngine()
 	buf := trace.NewBuffer(1 << 14)
-	g, err := New(engine, Config{Nodes: 20, Seed: 93, Tracer: buf}, testAlgo())
+	g, err := New(engine, Config{Nodes: 20, Seed: 93, Tap: TraceTap{Buf: buf}}, testAlgo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,5 +70,5 @@ func TestTracingDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Start()
-	engine.RunUntil(36 * 3600) // must simply not panic with nil tracer
+	engine.RunUntil(36 * 3600) // must simply not panic with a nil tap
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dag"
+	"repro/internal/trace"
 )
 
 // TaskState is the lifecycle of one task instance.
@@ -189,7 +190,7 @@ func (g *Grid) Submit(home int, w *dag.Workflow) (*WorkflowInstance, error) {
 	if g.slaAssign != nil {
 		g.SetWorkflowSLA(wf, g.slaAssign(wf))
 	}
-	g.emit(traceSubmit, home, wf, nil)
+	g.emit(trace.KindSubmit, home, wf, nil)
 
 	if g.algo.Planner != nil {
 		if !g.started {
@@ -224,8 +225,8 @@ func (g *Grid) activate(t *TaskInstance, now float64) {
 		}
 		avgCap, avgBW := g.Averages(t.WF.Home)
 		est := dag.Estimates{AvgCapacityMIPS: avgCap, AvgBandwidthMbs: avgBW}
-		rpm := dag.RPM(t.WF.W, est)
-		if !g.Dispatch(t, target, rpm[t.ID], rpm[t.WF.W.Entry()]) {
+		g.rpmBuf = dag.RPMInto(t.WF.W, est, g.rpmBuf)
+		if !g.Dispatch(t, target, g.rpmBuf[t.ID], g.rpmBuf[t.WF.W.Entry()]) {
 			// The full-ahead plan is static: a vanished planned node is
 			// fatal for the workflow.
 			g.failTask(t, now)

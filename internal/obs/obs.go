@@ -1,14 +1,15 @@
 // Package obs is the deterministic observability layer shared by batch
 // runs, the scheduler daemon and sweep workers: fixed-bucket histograms
-// over the VIRTUAL clock, a Prometheus text exposition writer (counters,
-// gauges and histograms), and a Chrome trace-event span builder over the
-// internal/trace event stream.
+// over the VIRTUAL clock, fed by GridMetrics as a tap on the grid, a
+// Prometheus text exposition writer (counters, gauges and histograms),
+// and a Chrome trace-event span builder over the internal/trace event
+// stream.
 //
 // Two properties are contractual:
 //
-//   - Zero cost when disabled. Every producer hook is guarded by one nil
-//     check (the grid's emit pattern); a nil *GridMetrics observes
-//     nothing and allocates nothing.
+//   - Zero cost when disabled. A grid without a tap pays one nil check
+//     per event (grid.Config.Tap); a run that does not install the
+//     metrics observes nothing and allocates nothing for them.
 //   - Invisible to artifacts. Observation never feeds back into
 //     simulation state, and all JSON surfaces grow only omitempty
 //     fields, so goldens, SpecHash, cache keys and soak digests are
@@ -22,13 +23,16 @@ package obs
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/grid"
+	"repro/internal/trace"
 )
 
 // Histogram is a fixed-bucket histogram: Bounds holds the strictly
 // increasing finite upper bounds, and an implicit +Inf bucket catches the
 // rest. Observe is a short linear scan (every family here has at most a
-// dozen buckets) with no allocation, so the enabled path stays cheap and
-// the disabled path (nil receiver guard at the hook) stays free.
+// dozen buckets) with no allocation, so the enabled path stays cheap; a
+// run without the metrics tap never reaches it.
 type Histogram struct {
 	bounds []float64
 	counts []uint64 // len(bounds)+1; last is the +Inf bucket
@@ -154,45 +158,6 @@ func (s *HistogramSummary) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Quantile estimates quantile q (in [0,1]) by linear interpolation within
-// the containing bucket, the standard Prometheus histogram_quantile rule.
-// The +Inf bucket clamps to its lower bound.
-func (s *HistogramSummary) Quantile(q float64) float64 {
-	if s == nil || s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum uint64
-	for i, c := range s.Counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if i == len(s.Bounds) {
-			return lo // +Inf bucket: clamp to its lower bound
-		}
-		hi := s.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-float64(cum))/float64(c)
-	}
-	if len(s.Bounds) == 0 {
-		return 0
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // The histogram families of one grid run. Bounds are virtual seconds
 // except Phase1Candidates (a pure count). The latency ladders are
 // roughly geometric, sized for Table-I workloads where tasks run
@@ -208,11 +173,10 @@ var (
 	phase1CandidateBounds    = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
-// GridMetrics bundles the virtual-time histogram families one grid feeds
-// from its existing hook points. A nil *GridMetrics disables observation
-// entirely (every hook is one nil check). Histogram float sums are
-// order-sensitive, so the observations must happen in the engine's
-// deterministic event order.
+// GridMetrics bundles the virtual-time histogram families of one grid.
+// It is a grid.Tap: install it as (or among) grid.Config.Tap. Histogram
+// float sums are order-sensitive, so the observations must happen in the
+// engine's deterministic event order, which is the order a tap sees.
 type GridMetrics struct {
 	// WorkflowCompletion is admission-to-completion latency per workflow.
 	WorkflowCompletion *Histogram
@@ -239,6 +203,30 @@ func NewGridMetrics() *GridMetrics {
 		TransferTime:       NewHistogram(transferTimeBounds...),
 		GossipStaleness:    NewHistogram(gossipStalenessBounds...),
 		Phase1Candidates:   NewHistogram(phase1CandidateBounds...),
+	}
+}
+
+// Event implements grid.Tap: each family observes its span of a task's
+// or workflow's life when the span ends, and the other kinds pass by.
+func (m *GridMetrics) Event(g *grid.Grid, e grid.Event) {
+	switch e.Kind {
+	case trace.KindDispatch:
+		// The age of the scheduler's cached record of the chosen node:
+		// how stale the placement's information was. Self-dispatch has
+		// no cached record (a node is not in its own RSS) and is skipped.
+		if age, ok := g.Gossip.RecordAge(e.WF.Home, e.Node); ok {
+			m.GossipStaleness.Observe(age)
+		}
+	case trace.KindReady:
+		m.TransferTime.Observe(e.Time - e.Task.DispatchedAt)
+	case trace.KindExecStart:
+		m.QueueWait.Observe(e.Time - e.Task.ReadyAt)
+	case trace.KindExecEnd:
+		m.ExecTime.Observe(e.Time - e.Task.StartedAt)
+	case trace.KindWorkflowDone:
+		m.WorkflowCompletion.Observe(e.Time - e.WF.SubmittedAt)
+	case trace.KindCandidates:
+		m.Phase1Candidates.Observe(float64(e.Candidates))
 	}
 }
 

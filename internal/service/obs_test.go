@@ -1,6 +1,8 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -172,7 +174,7 @@ func TestWorkflowTraceHTTP(t *testing.T) {
 
 // TestSoakDigestUnchangedByObservability pins the invisible-to-artifacts
 // contract at the daemon level: the soak digest of a service with its
-// metrics sink and tracer surgically removed equals the digest of an
+// tap (metrics and trace ring) surgically removed equals the digest of an
 // untouched twin. Observation must never steer the simulation.
 func TestSoakDigestUnchangedByObservability(t *testing.T) {
 	soak := SoakConfig{
@@ -184,8 +186,7 @@ func TestSoakDigestUnchangedByObservability(t *testing.T) {
 	run := func(strip bool) SoakReport {
 		s := newTiny(t, func(c *Config) { c.MaxInFlight = 64 })
 		if strip {
-			s.g.Cfg.Obs = nil
-			s.g.Cfg.Tracer = nil
+			s.g.Cfg.Tap = nil
 		}
 		rep, err := RunSoak(s, soak)
 		if err != nil {
@@ -201,5 +202,45 @@ func TestSoakDigestUnchangedByObservability(t *testing.T) {
 	}
 	if m := with.Final; m.Snapshot.Completed == 0 {
 		t.Fatalf("soak completed nothing: %+v", m)
+	}
+}
+
+// TestDaemonObservabilityBytes pins the daemon's two tap consumers byte
+// for byte: the /metrics exposition (histograms, DBC candidate counts
+// included) and one workflow's trace export of a priced DBC-ct daemon
+// after a fixed soak, as recorded before the grid reported through one
+// tap.
+func TestDaemonObservabilityBytes(t *testing.T) {
+	s := newTiny(t, func(c *Config) {
+		c.Algo = "DBC-ct"
+		c.Price = economy.PriceSpec{BaseRate: 1, Spread: 0.3}
+		c.MaxInFlight = 64
+	})
+	soak := SoakConfig{
+		N:           300,
+		Arrival:     arrival.Spec{Kind: arrival.KindPoisson, RatePerHour: 400},
+		Seed:        42,
+		TailSeconds: 24 * 3600,
+	}
+	if _, err := RunSoak(s, soak); err != nil {
+		t.Fatalf("RunSoak: %v", err)
+	}
+	if s.ObsSnapshot().Phase1Candidates.Count() == 0 {
+		t.Fatal("the soak observed no DBC candidate counts")
+	}
+	pins := map[string]string{
+		"/metrics":              "54730bec7923d5580552e8d60a6bfb7344e4aefeeb9f799396a2496ab485f6d5",
+		"/v1/workflows/0/trace": "163c330e638a9632d30a39a68ab05de22a5cd3480a255497b8fcf1c36261b7ed",
+	}
+	for path, want := range pins {
+		rec := httptest.NewRecorder()
+		Handler(s).ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		sum := sha256.Sum256(rec.Body.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s body digest %s, want %s", path, got, want)
+		}
 	}
 }

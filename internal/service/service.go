@@ -176,8 +176,9 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.Price.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	// The daemon's observability is always on: histogram families for
-	// /metrics and a bounded event ring for per-workflow trace export.
+	// The daemon's observability is always on: two taps on its grid, a
+	// bounded event ring for per-workflow trace export and the histogram
+	// families for /metrics.
 	// Observation reads simulation state but never feeds back into it, so
 	// status bodies, snapshots and soak digests stay byte-identical to an
 	// unobserved daemon (pinned by TestSoakDigestUnchangedByObservability).
@@ -188,8 +189,7 @@ func New(cfg Config) (*Service, error) {
 	setting := experiments.NewSetting(cfg.Scale, cfg.Seed)
 	setting.Shards = cfg.Shards
 	setting.Price = cfg.Price
-	setting.Obs = gm
-	setting.Tracer = tb
+	setting.Tap = grid.Taps{grid.TraceTap{Buf: tb}, gm}
 	eng, g, err := experiments.BuildGrid(setting, algo)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)

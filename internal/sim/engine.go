@@ -48,11 +48,6 @@ func (h Handle) Cancel() bool {
 	return true
 }
 
-// Live reports whether the event is still pending.
-func (h Handle) Live() bool {
-	return h.qe != nil && h.qe.gen == h.gen && !h.qe.dead && h.qe.index >= 0
-}
-
 type eventQueue []*queuedEvent
 
 func (q eventQueue) Len() int { return len(q) }

@@ -51,11 +51,6 @@ func NewLandmarkEstimator(net *Network, k int, seed int64) (*LandmarkEstimator, 
 	return e, nil
 }
 
-// Landmarks returns the selected landmark node ids.
-func (e *LandmarkEstimator) Landmarks() []int {
-	return append([]int(nil), e.landmarks...)
-}
-
 // Estimate returns the triangulated bandwidth between a and b in Mb/s.
 func (e *LandmarkEstimator) Estimate(a, b int) float64 {
 	if a == b {

@@ -336,14 +336,6 @@ func (net *Network) Latency(a, b int) float64 {
 	return float64(net.pairLat[a][b])
 }
 
-// Degree returns the number of physical links at node i.
-func (net *Network) Degree(i int) int {
-	if net.compact != nil {
-		return int(net.compact.deg[i])
-	}
-	return len(net.Adj[i])
-}
-
 // AvgBandwidth returns the mean end-to-end bandwidth over all ordered pairs,
 // the oracle value the aggregation gossip protocol estimates.
 func (net *Network) AvgBandwidth() float64 {

@@ -1,7 +1,8 @@
 // Package trace records the runtime events of a grid simulation - task
 // dispatches, transfers, executions, failures, churn - into a bounded
 // buffer, and renders them as text timelines or per-node ASCII Gantt
-// charts. Tracing is opt-in (a hook on the grid) and costs nothing when
+// charts. It also names the event kinds the grid reports. Tracing is
+// opt-in (grid.TraceTap, one tap on the grid) and costs nothing when
 // disabled.
 package trace
 
@@ -27,6 +28,10 @@ const (
 	KindWorkflowFailed
 	KindNodeDown
 	KindNodeUp
+	// KindCandidates carries a constrained (DBC) scheduler's phase-1
+	// candidate count. It is a statistic, not a lifecycle event, so
+	// grid.TraceTap leaves it out of the ring.
+	KindCandidates
 )
 
 func (k Kind) String() string {
@@ -53,14 +58,11 @@ func (k Kind) String() string {
 		return "node-down"
 	case KindNodeUp:
 		return "node-up"
+	case KindCandidates:
+		return "candidates"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-}
-
-// Recorder receives events from the grid runtime. *Buffer implements it.
-type Recorder interface {
-	Record(Event)
 }
 
 // Event is one recorded occurrence.
@@ -106,7 +108,7 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{events: make([]Event, capacity)}
 }
 
-// Record implements the grid's tracer hook.
+// Record appends one event, dropping the oldest when the ring is full.
 func (b *Buffer) Record(e Event) {
 	if b.count < len(b.events) {
 		b.events[(b.start+b.count)%len(b.events)] = e
@@ -139,16 +141,6 @@ func (b *Buffer) Filter(keep func(Event) bool) []Event {
 		}
 	}
 	return out
-}
-
-// Log renders all retained events as a multi-line log.
-func (b *Buffer) Log() string {
-	var sb strings.Builder
-	for _, e := range b.Events() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // Gantt renders per-node execution lanes between t0 and t1 using cols

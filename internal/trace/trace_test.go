@@ -82,7 +82,7 @@ func TestEventString(t *testing.T) {
 
 func TestKindStringsDistinct(t *testing.T) {
 	seen := map[string]bool{}
-	for k := KindSubmit; k <= KindNodeUp; k++ {
+	for k := KindSubmit; k <= KindCandidates; k++ {
 		s := k.String()
 		if seen[s] {
 			t.Fatalf("duplicate kind string %q", s)

@@ -13,7 +13,6 @@ package arrival
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -359,10 +358,4 @@ func Parse(s string) (Spec, error) {
 		return Spec{}, err
 	}
 	return spec, nil
-}
-
-// Sorted reports whether ts is non-decreasing (a helper for tests and
-// parsers; every Schedule result satisfies it by construction).
-func Sorted(ts []float64) bool {
-	return sort.SliceIsSorted(ts, func(i, j int) bool { return ts[i] < ts[j] })
 }
