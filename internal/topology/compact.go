@@ -31,8 +31,6 @@ type compactNet struct {
 	plat   []float32 // latency of the link to parent, seconds
 	depth  []int32
 	deg    []int32
-
-	avgBW float64 // exact mean pairwise bottleneck, precomputed once
 }
 
 // generateCompact grows the attachment tree. Node i > 0 draws up to eight
@@ -73,7 +71,7 @@ func generateCompact(cfg Config, rng *rand.Rand, net *Network) {
 		c.deg[i]++
 		c.deg[pick]++
 	}
-	c.avgBW = c.computeAvgBandwidth(n)
+	net.avgBW = c.computeAvgBandwidth(n)
 	net.compact = c
 }
 

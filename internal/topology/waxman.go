@@ -5,16 +5,21 @@
 //
 // Nodes are placed uniformly at random on a square plane; a link between two
 // nodes exists with the Waxman probability alpha*exp(-d/(beta*D)) where d is
-// their Euclidean distance and D the plane diagonal. Per-link bandwidth is
+// their Euclidean distance and D the plane diagonal. Each pair draws its
+// uniform first and computes d and the exponential only when the draw is
+// below alpha, the most that probability can be. Per-link bandwidth is
 // uniform in Table I's [0.1, 10] Mb/s range; latency grows linearly with
 // distance. Disconnected components are patched by bridging closest pairs,
-// so the returned network is always connected.
+// so the returned network is always connected. All links sit in one block.
 //
 // End-to-end bandwidth between two nodes is the bottleneck of the widest
 // path. We exploit the classic equivalence: the widest-path bottleneck
 // between any two vertices equals the minimum-weight edge on their path in a
-// MAXIMUM spanning tree. Building one maximum spanning tree and walking it
-// per source gives the all-pairs matrix in O(n^2) instead of n Dijkstras.
+// MAXIMUM spanning tree. Prim grows that tree from node 0, taking the widest
+// frontier node (the lowest id among ties) off an indexed heap. Its
+// insertion order puts every parent before its children, so one sweep in
+// that order per source fills the source's row of the bandwidth and latency
+// tables: the all-pairs matrix in O(n^2) instead of n Dijkstras.
 package topology
 
 import (
@@ -90,11 +95,15 @@ type Network struct {
 	Pos []Point
 	Adj [][]Link // nil in compact mode
 
-	// pairBW[a][b] is the widest-path bottleneck bandwidth in Mb/s;
-	// pairLat[a][b] the latency along that tree path. float32 halves the
+	// pairBW[a*n+b] is the widest-path bottleneck bandwidth in Mb/s;
+	// pairLat[a*n+b] the latency along that tree path. float32 halves the
 	// footprint at n=2000 without hurting scheduling decisions.
-	pairBW  [][]float32
-	pairLat [][]float32
+	pairBW  []float32
+	pairLat []float32
+
+	// avgBW is the exact mean bandwidth over all ordered pairs, computed
+	// once by either representation.
+	avgBW float64
 
 	// compact, when non-nil, replaces Adj and the all-pairs tables with
 	// the O(n) spanning-tree representation for very large grids.
@@ -156,28 +165,69 @@ func Generate(cfg Config) (*Network, error) {
 		generateCompact(cfg, rng, net)
 		return net, nil
 	}
-	net.Adj = make([][]Link, n)
 	diag := cfg.PlaneSize * math.Sqrt2
+	// A pair links when its uniform draw u is below p = alpha*exp(-d/(beta*D)).
+	// With beta*D > 0 the exponent is never positive, so p <= alpha: a draw
+	// at or above alpha fails whatever d is, and the loop computes d and p
+	// only below it. Any other beta*D computes them for every pair.
+	cut := cfg.Alpha
+	if !(cfg.Beta*diag > 0) {
+		cut = math.Inf(1)
+	}
 	uf := newUnionFind(n)
+	links := make([]linkRec, 0, n) // a connected network has at least n-1
+	deg := make([]int32, n)
 	addLink := func(i, j int) {
-		bw := cfg.BandwidthRange.Sample(rng)
-		lat := net.Pos[i].Dist(net.Pos[j]) * cfg.LatencyPerUnit
-		net.Adj[i] = append(net.Adj[i], Link{To: j, Bandwidth: bw, Latency: lat})
-		net.Adj[j] = append(net.Adj[j], Link{To: i, Bandwidth: bw, Latency: lat})
+		links = append(links, linkRec{int32(i), int32(j), cfg.BandwidthRange.Sample(rng)})
+		deg[i]++
+		deg[j]++
 		uf.union(i, j)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := net.Pos[i].Dist(net.Pos[j])
-			p := cfg.Alpha * math.Exp(-d/(cfg.Beta*diag))
-			if rng.Float64() < p {
-				addLink(i, j)
+			if u := rng.Float64(); u < cut {
+				d := net.Pos[i].Dist(net.Pos[j])
+				if u < cfg.Alpha*math.Exp(-d/(cfg.Beta*diag)) {
+					addLink(i, j)
+				}
 			}
 		}
 	}
 	net.patchConnectivity(uf, addLink)
+	net.fillAdj(links, deg)
 	net.computeAllPairs()
 	return net, nil
+}
+
+// linkRec is one undirected link as addLink records it.
+type linkRec struct {
+	i, j int32
+	bw   float64
+}
+
+// fillAdj lays every link out in one block, each node's links in the order
+// addLink recorded them. deg holds the node degrees and is reused as the
+// fill cursors.
+func (net *Network) fillAdj(links []linkRec, deg []int32) {
+	block := make([]Link, 2*len(links))
+	next := int32(0)
+	for i, d := range deg {
+		deg[i] = next
+		next += d
+	}
+	for _, l := range links {
+		lat := net.Pos[l.i].Dist(net.Pos[l.j]) * net.Cfg.LatencyPerUnit
+		block[deg[l.i]] = Link{To: int(l.j), Bandwidth: l.bw, Latency: lat}
+		block[deg[l.j]] = Link{To: int(l.i), Bandwidth: l.bw, Latency: lat}
+		deg[l.i]++
+		deg[l.j]++
+	}
+	net.Adj = make([][]Link, len(deg))
+	lo := int32(0)
+	for i, hi := range deg {
+		net.Adj[i] = block[lo:hi:hi]
+		lo = hi
+	}
 }
 
 // patchConnectivity bridges components by repeatedly linking the closest
@@ -217,95 +267,150 @@ func (net *Network) patchConnectivity(uf *unionFind, addLink func(i, j int)) {
 	}
 }
 
-// computeAllPairs builds the maximum spanning tree (by bandwidth) and, for
-// each source, walks the tree accumulating bottleneck bandwidth and latency.
+// frontier is Prim's indexed binary heap over the nodes outside the tree
+// whose best link has a non-negative bandwidth. It pops the widest node,
+// the lowest id among ties: the node a scan of bestBW in id order picks.
+// at[v] is v's slot in heap, or -1.
+type frontier struct {
+	bestBW []float64
+	heap   []int32
+	at     []int32
+	size   int
+}
+
+func (h *frontier) before(a, b int32) bool {
+	return h.bestBW[a] > h.bestBW[b] || h.bestBW[a] == h.bestBW[b] && a < b
+}
+
+// raise inserts v or moves it up after its bestBW grew.
+func (h *frontier) raise(v int32) {
+	i := int(h.at[v])
+	if i < 0 {
+		i = h.size
+		h.size++
+	}
+	for i > 0 {
+		up := (i - 1) / 2
+		if !h.before(v, h.heap[up]) {
+			break
+		}
+		h.heap[i] = h.heap[up]
+		h.at[h.heap[i]] = int32(i)
+		i = up
+	}
+	h.heap[i] = v
+	h.at[v] = int32(i)
+}
+
+func (h *frontier) pop() int32 {
+	top := h.heap[0]
+	h.size--
+	v := h.heap[h.size]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= h.size {
+			break
+		}
+		if c+1 < h.size && h.before(h.heap[c+1], h.heap[c]) {
+			c++
+		}
+		if !h.before(h.heap[c], v) {
+			break
+		}
+		h.heap[i] = h.heap[c]
+		h.at[h.heap[i]] = int32(i)
+		i = c
+	}
+	h.heap[i] = v
+	h.at[v] = int32(i)
+	return top
+}
+
+// computeAllPairs builds the maximum spanning tree (by bandwidth) with Prim
+// from node 0, then fills each source's row of both tables in one sweep of
+// the tree in Prim's insertion order, and sums the bandwidth rows into
+// avgBW in row-major order.
 func (net *Network) computeAllPairs() {
 	n := len(net.Pos)
-	net.pairBW = make([][]float32, n)
-	net.pairLat = make([][]float32, n)
-	for i := range net.pairBW {
-		net.pairBW[i] = make([]float32, n)
-		net.pairLat[i] = make([]float32, n)
-	}
+	net.pairBW = make([]float32, n*n)
+	net.pairLat = make([]float32, n*n)
 	if n == 1 {
-		net.pairBW[0][0] = float32(math.Inf(1))
+		net.pairBW[0] = float32(math.Inf(1))
 		return
 	}
 
-	// Prim's algorithm for the MAXIMUM spanning tree over link bandwidth.
-	type treeEdge struct {
-		to      int
-		bw, lat float64
-	}
-	tree := make([][]treeEdge, n)
-	inTree := make([]bool, n)
-	bestBW := make([]float64, n)
-	bestFrom := make([]int, n)
-	bestLat := make([]float64, n)
+	// Prim relabels the nodes by insertion position: pos[v] is v's
+	// position, and position k > 0 hangs off position par[k] < k by a tree
+	// link of bandwidth ebw[k] and latency elat[k]. Two allocations hold
+	// every scratch array, and the sweep reuses Prim's.
+	fs := make([]float64, 4*n)
+	bestBW, bestLat, ebw, elat := fs[:n], fs[n:2*n], fs[2*n:3*n], fs[3*n:]
+	is := make([]int32, 5*n)
+	bestFrom, pos, par := is[:n], is[n:2*n], is[2*n:3*n]
+	h := frontier{bestBW: bestBW, heap: is[3*n : 4*n], at: is[4*n:]}
 	for i := range bestBW {
 		bestBW[i] = -1
-		bestFrom[i] = -1
+		pos[i] = -1
+		h.at[i] = -1
 	}
-	inTree[0] = true
-	for _, l := range net.Adj[0] {
-		if l.Bandwidth > bestBW[l.To] {
-			bestBW[l.To], bestFrom[l.To], bestLat[l.To] = l.Bandwidth, 0, l.Latency
-		}
-	}
-	for added := 1; added < n; added++ {
-		pick := -1
-		for v := 0; v < n; v++ {
-			if !inTree[v] && bestBW[v] >= 0 && (pick == -1 || bestBW[v] > bestBW[pick]) {
-				pick = v
-			}
-		}
-		if pick == -1 {
-			// Unreachable for a connected graph; guarded by generation.
-			panic("topology: graph not connected in computeAllPairs")
-		}
-		inTree[pick] = true
-		u := bestFrom[pick]
-		tree[u] = append(tree[u], treeEdge{to: pick, bw: bestBW[pick], lat: bestLat[pick]})
-		tree[pick] = append(tree[pick], treeEdge{to: u, bw: bestBW[pick], lat: bestLat[pick]})
-		for _, l := range net.Adj[pick] {
-			if !inTree[l.To] && l.Bandwidth > bestBW[l.To] {
-				bestBW[l.To], bestFrom[l.To], bestLat[l.To] = l.Bandwidth, pick, l.Latency
-			}
-		}
-	}
-
-	// Iterative DFS from every source over the tree.
-	type frame struct {
-		node   int
-		bottle float64
-		lat    float64
-	}
-	stack := make([]frame, 0, n)
-	visited := make([]bool, n)
-	for src := 0; src < n; src++ {
-		for i := range visited {
-			visited[i] = false
-		}
-		stack = stack[:0]
-		stack = append(stack, frame{node: src, bottle: math.Inf(1)})
-		visited[src] = true
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			net.pairBW[src][f.node] = float32(f.bottle)
-			net.pairLat[src][f.node] = float32(f.lat)
-			for _, e := range tree[f.node] {
-				if !visited[e.to] {
-					visited[e.to] = true
-					stack = append(stack, frame{
-						node:   e.to,
-						bottle: math.Min(f.bottle, e.bw),
-						lat:    f.lat + e.lat,
-					})
+	relax := func(u int32) {
+		for _, l := range net.Adj[u] {
+			if v := int32(l.To); pos[v] < 0 && l.Bandwidth > bestBW[v] {
+				bestBW[v], bestFrom[v], bestLat[v] = l.Bandwidth, u, l.Latency
+				if l.Bandwidth >= 0 {
+					h.raise(v)
 				}
 			}
 		}
 	}
+	pos[0] = 0
+	relax(0)
+	for added := 1; added < n; added++ {
+		if h.size == 0 {
+			// The graph is connected, so this happens only when no link
+			// into the rest of it has a non-negative bandwidth.
+			panic("topology: graph not connected in computeAllPairs")
+		}
+		v := h.pop()
+		pos[v] = int32(added)
+		par[added], ebw[added], elat[added] = pos[bestFrom[v]], bestBW[v], bestLat[v]
+		relax(v)
+	}
+
+	// For source s, each node's values come from its tree neighbour toward
+	// s through one min and one add, so they are the same bits in whatever
+	// order the nodes are visited. s's ancestors take theirs from the child
+	// below them and are marked with stamp s+1; every other node takes its
+	// parent's, whose position precedes its own.
+	accBW, accLat, mark := bestBW, bestLat, h.at
+	clear(mark)
+	var sum float64
+	for s := 0; s < n; s++ {
+		stamp := int32(s + 1)
+		k := pos[s]
+		accBW[k], accLat[k], mark[k] = math.Inf(1), 0, stamp
+		for k != 0 {
+			p := par[k]
+			accBW[p], accLat[p], mark[p] = min(accBW[k], ebw[k]), accLat[k]+elat[k], stamp
+			k = p
+		}
+		for k := 1; k < n; k++ {
+			if mark[k] != stamp {
+				p := par[k]
+				accBW[k], accLat[k] = min(accBW[p], ebw[k]), accLat[p]+elat[k]
+			}
+		}
+		rowBW, rowLat := net.pairBW[s*n:(s+1)*n], net.pairLat[s*n:(s+1)*n]
+		for v, k := range pos {
+			bw := float32(accBW[k])
+			rowBW[v], rowLat[v] = bw, float32(accLat[k])
+			if v != s {
+				sum += float64(bw)
+			}
+		}
+	}
+	net.avgBW = sum / float64(n*(n-1))
 }
 
 // N returns the number of nodes.
@@ -321,7 +426,8 @@ func (net *Network) Bandwidth(a, b int) float64 {
 		bw, _ := net.compact.path(a, b)
 		return bw
 	}
-	return float64(net.pairBW[a][b])
+	n := len(net.Pos)
+	return float64(net.pairBW[a*n : a*n+n][b])
 }
 
 // Latency returns the end-to-end latency between a and b in seconds.
@@ -333,28 +439,17 @@ func (net *Network) Latency(a, b int) float64 {
 		_, lat := net.compact.path(a, b)
 		return lat
 	}
-	return float64(net.pairLat[a][b])
+	n := len(net.Pos)
+	return float64(net.pairLat[a*n : a*n+n][b])
 }
 
 // AvgBandwidth returns the mean end-to-end bandwidth over all ordered pairs,
 // the oracle value the aggregation gossip protocol estimates.
 func (net *Network) AvgBandwidth() float64 {
-	n := net.N()
-	if n < 2 {
+	if net.N() < 2 {
 		return net.Cfg.BandwidthRange.Mid()
 	}
-	if net.compact != nil {
-		return net.compact.avgBW
-	}
-	var sum float64
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				sum += float64(net.pairBW[a][b])
-			}
-		}
-	}
-	return sum / float64(n*(n-1))
+	return net.avgBW
 }
 
 // TransferTime returns the seconds needed to ship size Mb from a to b.

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -301,10 +302,36 @@ func TestQuickLandmarkLowerBound(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate1000(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(Config{N: 1000, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
+// TestGenerateAllocations pins the dense build's allocation count below a
+// bound that no per-node or per-row allocation fits under: fixed arrays,
+// one adjacency block and one allocation per pair table, plus the link
+// list's amortized growth and patchConnectivity's per-component scratch.
+// Per-node adjacency slices and per-row tables took 1,192 allocations at
+// 150 nodes and 10,785 at 1000.
+func TestGenerateAllocations(t *testing.T) {
+	for _, n := range []int{150, 1000, 2000} {
+		got := testing.AllocsPerRun(1, func() {
+			if _, err := Generate(Config{N: n, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 64 {
+			t.Errorf("n=%d: %v allocations per build, want at most 64", n, got)
 		}
+	}
+}
+
+// BenchmarkGenerate times one dense build at the small, paper and largest
+// Fig. 11 sizes, each iteration on its own seed.
+func BenchmarkGenerate(b *testing.B) {
+	for _, n := range []int{150, 1000, 2000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(Config{N: n, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -132,12 +132,26 @@ func (b *Buffer) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events matching the predicate, in order.
+// segments returns the retained events in record order as the ring's two
+// runs, without copying: the oldest from start to the end of the ring, then
+// the rest from its beginning.
+func (b *Buffer) segments() [2][]Event {
+	end := b.start + b.count
+	if end <= len(b.events) {
+		return [2][]Event{b.events[b.start:end], nil}
+	}
+	return [2][]Event{b.events[b.start:], b.events[:end-len(b.events)]}
+}
+
+// Filter returns the retained events matching the predicate, in order. It
+// allocates only its result.
 func (b *Buffer) Filter(keep func(Event) bool) []Event {
 	var out []Event
-	for _, e := range b.Events() {
-		if keep(e) {
-			out = append(out, e)
+	for _, seg := range b.segments() {
+		for _, e := range seg {
+			if keep(e) {
+				out = append(out, e)
+			}
 		}
 	}
 	return out
@@ -157,14 +171,16 @@ func (b *Buffer) Gantt(t0, t1 float64, cols int) string {
 	type span struct{ s, e float64 }
 	open := map[string]Event{} // task name -> start event
 	lanes := map[int][]span{}
-	for _, e := range b.Events() {
-		switch e.Kind {
-		case KindExecStart:
-			open[e.Workflow+"/"+e.Task] = e
-		case KindExecEnd:
-			if st, ok := open[e.Workflow+"/"+e.Task]; ok {
-				lanes[e.Node] = append(lanes[e.Node], span{st.Time, e.Time})
-				delete(open, e.Workflow+"/"+e.Task)
+	for _, seg := range b.segments() {
+		for _, e := range seg {
+			switch e.Kind {
+			case KindExecStart:
+				open[e.Workflow+"/"+e.Task] = e
+			case KindExecEnd:
+				if st, ok := open[e.Workflow+"/"+e.Task]; ok {
+					lanes[e.Node] = append(lanes[e.Node], span{st.Time, e.Time})
+					delete(open, e.Workflow+"/"+e.Task)
+				}
 			}
 		}
 	}
@@ -208,8 +224,10 @@ func (b *Buffer) Gantt(t0, t1 float64, cols int) string {
 // CountByKind tallies retained events per kind.
 func (b *Buffer) CountByKind() map[Kind]int {
 	out := map[Kind]int{}
-	for _, e := range b.Events() {
-		out[e.Kind]++
+	for _, seg := range b.segments() {
+		for _, e := range seg {
+			out[e.Kind]++
+		}
 	}
 	return out
 }

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBufferRecordsInOrder(t *testing.T) {
@@ -162,6 +165,76 @@ func TestQuickRingRetainsSuffix(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFilterAllocatesOnlyItsResult: on a full, wrapped ring where one
+// workflow's events sit among many, Filter walks the ring in place and
+// allocates no more than its append-grown result.
+func TestFilterAllocatesOnlyItsResult(t *testing.T) {
+	const capacity = 1 << 14
+	b := NewBuffer(capacity)
+	for i := 0; i < capacity+capacity/3; i++ {
+		wf := "bulk"
+		if i%997 == 0 {
+			wf = "one"
+		}
+		b.Record(Event{Time: float64(i), Kind: KindDispatch, Node: i % 7, Workflow: wf})
+	}
+	keep := func(e Event) bool { return e.Workflow == "one" }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := b.Filter(keep)
+	runtime.ReadMemStats(&after)
+
+	var want []Event
+	for _, e := range b.Events() {
+		if keep(e) {
+			want = append(want, e)
+		}
+	}
+	if len(want) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Filter kept %d events, want the %d of Events()", len(got), len(want))
+	}
+	// Appending to a nil slice allocates at most twice the final capacity.
+	limit := 2 * uint64(cap(got)) * uint64(unsafe.Sizeof(Event{}))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Fatalf("Filter allocated %d B for a %d-event result (limit %d B); the ring holds %d",
+			alloc, len(got), limit, b.Len())
+	}
+	if n := testing.AllocsPerRun(5, func() { b.Filter(func(Event) bool { return false }) }); n != 0 {
+		t.Fatalf("a Filter that keeps nothing made %v allocations", n)
+	}
+}
+
+// Property: at every wrap position, Filter, CountByKind and Gantt read the
+// ring's two runs exactly as they read a copy of Events recorded into a
+// ring that never wrapped.
+func TestQuickRingWalksMatchEvents(t *testing.T) {
+	f := func(n uint8, c uint8) bool {
+		capacity := int(c%24) + 1
+		b := NewBuffer(capacity)
+		total := int(n % 80)
+		for i := 0; i < total; i++ {
+			kind := KindExecStart
+			if i%3 == 1 {
+				kind = KindExecEnd
+			} else if i%3 == 2 {
+				kind = KindDispatch
+			}
+			b.Record(Event{Time: float64(i), Kind: kind, Node: i % 4, Workflow: "w", Task: string(rune('a' + i/3%5))})
+		}
+		flat := NewBuffer(capacity)
+		for _, e := range b.Events() {
+			flat.Record(e)
+		}
+		odd := func(e Event) bool { return int(e.Time)%2 == 1 }
+		return reflect.DeepEqual(b.Filter(odd), flat.Filter(odd)) &&
+			reflect.DeepEqual(b.CountByKind(), flat.CountByKind()) &&
+			b.Gantt(0, 100, 20) == flat.Gantt(0, 100, 20)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
