@@ -17,16 +17,24 @@
 // which never changes, so the mint indexes a per-protocol table of cycle
 // instants and the capacity is read once per origin. Descending key order
 // is eviction order - the later mint first, ties to the higher origin - and
-// every cache is kept in it. A push, the simulator's hottest loop (fan-out
-// pushes per node per cycle), is then one merge of the sender's forward
-// list and the receiver's cache that takes the larger key at every step
-// without branching on which side it came from, keeps the first copy of
-// each origin, and stops as soon as the receiver is full: the records it
-// never reaches are exactly the stalest ones a capacity eviction would
-// drop, so they are never written. Readers see StateRecords in origin
-// order: AppendRSS unpacks and sorts its at most CacheCapacity records on
-// the way out. A node's neighbor draw touches O(fan-out²) positions
-// instead of listing all n, so one cycle costs O(n log² n).
+// every cache is kept in it.
+//
+// Pushes, the simulator's hottest work (fan-out pushes per node per cycle),
+// are delivered per receiver, not one at a time. A push only posts its
+// sender to the receiver's list in a flat per-cycle inbox. A receiver takes
+// the pushes of the senders before it in node order at its own turn, before
+// its own record, and the rest after the node loop, each batch in one merge
+// of its live head and its senders' forward lists, read straight from the
+// senders' caches. The merge takes the largest key at every step, keeps the
+// first copy of each origin, and stops as soon as the receiver is full: the
+// records it never reaches are exactly the stalest ones a capacity eviction
+// would drop, so they are never written. Within a cycle the expiry bound is
+// fixed, and keeping the freshest copy per origin and then the largest keys
+// composes, so one merge leaves the cache the pushes one at a time would.
+// Readers see StateRecords in origin order: AppendRSS unpacks and sorts its
+// at most CacheCapacity records on the way out. A node's neighbor draw
+// touches O(fan-out²) positions instead of listing all n, so one cycle
+// costs O(n log² n).
 package gossip
 
 import (
@@ -35,6 +43,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -52,8 +61,9 @@ type StateRecord struct {
 // record is a cached StateRecord, packed. key is mint<<32 | origin<<8 |
 // hops left, so descending key order is eviction order, and of two copies
 // of one minting the one with more hops left comes first. The mint indexes
-// Protocol.mints and is at least 1, so no real key is 0: a zero key ends a
-// list the push merges. The origin's capacity lives in Protocol.capacity.
+// Protocol.mints and is at least 1, so no real key is 0: a merge list whose
+// head key is 0 is exhausted. The origin's capacity lives in
+// Protocol.capacity.
 type record struct {
 	key  uint64
 	load float64 // TotalLoadMI
@@ -155,6 +165,9 @@ func (c Config) validate() error {
 		msg = fmt.Sprintf("negative CacheCapacity %d", c.CacheCapacity)
 	case c.EpochCycles < 0:
 		msg = fmt.Sprintf("negative EpochCycles %d", c.EpochCycles)
+	case c.N*c.slotsPerSender() > math.MaxInt32:
+		msg = fmt.Sprintf("N %d times FanOut %d above the %d pushes a cycle's inbox holds",
+			c.N, c.FanOut, math.MaxInt32)
 	case !positive(c.CycleSeconds):
 		msg = fmt.Sprintf("CycleSeconds must be positive and finite, got %v", c.CycleSeconds)
 	case !positive(c.ExpiryCycles):
@@ -163,6 +176,12 @@ func (c Config) validate() error {
 		return nil
 	}
 	return fmt.Errorf("%w: %s", ErrConfig, msg)
+}
+
+// slotsPerSender is the most pushes one node makes in a cycle: its fan-out
+// targets are distinct and never itself.
+func (c Config) slotsPerSender() int {
+	return max(1, min(c.FanOut, c.N-1))
 }
 
 // idleMemo caches one IdleKnown answer per node. A cached count stays valid
@@ -196,20 +215,25 @@ type Protocol struct {
 
 	// cache[i] is node i's RSS: at most one record per origin, in
 	// descending key order, so expired records form its tail. Every slice
-	// has capacity CacheCapacity+2: at most CacheCapacity records after a
-	// push, the owner's own record merged in between pushes, and the zero
-	// key a push writes after the live head. fwd[i] counts cache[i]'s
-	// records with hops left, expired ones included, and ownMint[i] is the
-	// mint of node i's own record in cache[i], 0 when it holds none.
+	// has capacity CacheCapacity+1: at most CacheCapacity records after a
+	// merge, plus the owner's own record merged in before the next one.
+	// fwd[i] counts cache[i]'s records with hops left, expired ones
+	// included, and ownMint[i] is the mint of node i's own record in
+	// cache[i], 0 when it holds none. newest[i] is at least the key of
+	// every copy of node i's record in any cache: the key of the record
+	// its latest turn minted, since every other copy is older or spent
+	// hops on the way.
 	cache     [][]record
 	fwd       []int32
 	ownMint   []uint32
-	capacity  []float64   // per origin, read once in New
-	mints     []float64   // mints[m] is the instant of mint m; mints[0] is unused
-	version   []uint32    // bumped on every cache[i] mutation
-	idle      []idleMemo  // per-node IdleKnown memo
-	sampleBuf []int       // reused by the cycle's neighbor draws
-	scratch   pushScratch // the serial cycle's push scratch
+	newest    []uint64   // per origin: bounds the key of every copy of its record
+	capacity  []float64  // per origin, read once in New
+	mints     []float64  // mints[m] is the instant of mint m; mints[0] is unused
+	version   []uint32   // bumped on every cache[i] mutation
+	idle      []idleMemo // per-node IdleKnown memo
+	sampleBuf []int      // reused by the cycle's neighbor draws
+	inbox     inbox      // the serial cycle's pending pushes
+	merge     merger     // the serial cycle's merge scratch
 
 	// Aggregation state (push-pull averaging with epoch restarts).
 	estCap     []float64 // in-progress capacity estimate
@@ -257,6 +281,7 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		cache:     make([][]record, cfg.N),
 		fwd:       make([]int32, cfg.N),
 		ownMint:   make([]uint32, cfg.N),
+		newest:    make([]uint64, cfg.N),
 		capacity:  make([]float64, cfg.N),
 		mints:     make([]float64, 1),
 		version:   make([]uint32, cfg.N),
@@ -267,12 +292,13 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		reportCap: make([]float64, cfg.N),
 		reportBW:  make([]float64, cfg.N),
 	}
-	stride := cfg.CacheCapacity + 2
+	stride := cfg.CacheCapacity + 1
 	backing := make([]record, cfg.N*stride)
 	for i := range p.cache {
 		p.cache[i] = backing[i*stride : i*stride : (i+1)*stride]
 	}
-	p.scratch = newPushScratch(cfg.N, stride)
+	p.inbox = newInbox(cfg.N, cfg.slotsPerSender())
+	p.merge = newMerger(cfg.N, cfg.N, stride)
 	for i := 0; i < cfg.N; i++ {
 		s := local.Snapshot(i)
 		p.capacity[i] = s.Capacity
@@ -339,15 +365,22 @@ func (p *Protocol) cycle(now float64) {
 		if !s.Alive {
 			continue
 		}
-		// Refresh own record and push to fan-out random targets.
+		// Take the pushes of the senders before i, refresh i's own record
+		// and push to fan-out random targets. A push is counted when it is
+		// made; its records reach the target at the target's next merge.
+		if nodes := p.inbox.take(i); nodes != nil {
+			p.deliver(nodes, live, &p.merge)
+		}
 		p.mergeOwn(i, record{key: packKey(mint, i, p.cfg.TTL), load: s.TotalLoadMI})
-		p.loadForward(i, live, &p.scratch)
+		bytes := uint64(p.fwd[i]) * MessageBytes
 		targets := stats.SampleWithoutInto(p.rng, p.cfg.N, p.cfg.FanOut, i, p.sampleBuf)
-		for _, t := range targets {
+		for j, t := range targets {
 			if !p.local.Snapshot(t).Alive {
 				continue
 			}
-			p.push(i, t, live)
+			p.inbox.post(i, j, t)
+			p.MessagesSent++
+			p.BytesSent += bytes
 		}
 		// Aggregation: one push-pull averaging exchange (reusing the sample
 		// buffer is safe: the fan-out targets above were fully consumed).
@@ -362,122 +395,208 @@ func (p *Protocol) cycle(now float64) {
 			p.BytesSent += 2 * MessageBytes // push and pull
 		}
 	}
+	// The pushes of the senders after each receiver, in node order. A
+	// sender's cache is unchanged from its turn until its own merge here, so
+	// a receiver before it still reads what it pushed.
+	for t := 0; t < p.cfg.N; t++ {
+		if nodes := p.inbox.take(t); nodes != nil {
+			p.deliver(nodes, live, &p.merge)
+		}
+	}
 }
 
-// pushScratch is one pusher's reusable state: a spare cache slot the merge
-// writes into before it trades places with the receiver's cache, the
-// current sender's forward list, and per-origin stamps marking the origins
-// the current merge has placed.
-type pushScratch struct {
+// inbox holds one cycle's pushes until their receivers merge them. Node
+// i's j-th push of the cycle is slot i*fan+j, so a slot names its sender;
+// the slots pending at a receiver form a list through next, newest first.
+// All of it is one allocation: 4 bytes per slot and 8 per node.
+type inbox struct {
+	fan   int32
+	head  []int32 // per receiver: its newest pending slot, or -1
+	next  []int32 // per slot: the same receiver's previous pending slot
+	nodes []int32 // take's result: a receiver, then its senders
+}
+
+func newInbox(n, fan int) inbox {
+	buf := make([]int32, 2*n+n*fan)
+	in := inbox{fan: int32(fan), head: buf[:n:n], nodes: buf[n : n : 2*n], next: buf[2*n:]}
+	for i := range in.head {
+		in.head[i] = -1
+	}
+	return in
+}
+
+// post queues from's j-th push of the cycle for node to.
+func (in *inbox) post(from, j, to int) {
+	s := int32(from)*in.fan + int32(j)
+	in.next[s] = in.head[to]
+	in.head[to] = s
+}
+
+// take empties node to's pending pushes and returns them as a delivery
+// list: to, then the senders in the order they pushed. It returns nil when
+// none are pending.
+func (in *inbox) take(to int) []int32 {
+	s := in.head[to]
+	if s < 0 {
+		return nil
+	}
+	in.head[to] = -1
+	nodes := append(in.nodes[:0], int32(to))
+	for ; s >= 0; s = in.next[s] {
+		nodes = append(nodes, s/in.fan)
+	}
+	slices.Reverse(nodes[1:])
+	return nodes
+}
+
+// merger is one deliverer's reusable state: a spare cache slot the merge
+// writes into before it trades places with the receiver's cache, what is
+// left of each merge list and its head's key, and per-origin stamps
+// marking the origins the current merge has placed. The replay's workers
+// each write their own merger at every merge step, so its fields and
+// per-list arrays never share a cache line with another merger's.
+type merger struct {
 	spare []record
-	fwd   []record
+	rest  [][]record
+	keys  []uint64
 	seen  []uint32
 	seq   uint32
+	_     [cacheLine]byte
 }
 
-func newPushScratch(n, stride int) pushScratch {
-	return pushScratch{
+// cacheLine is the cache line size in bytes on common hardware.
+const cacheLine = 64
+
+// newMerger sizes a merger for n origins, merges of up to lists lists and
+// caches of capacity stride. The per-list arrays take whole cache lines.
+func newMerger(n, lists, stride int) merger {
+	lists = (lists + 7) &^ 7 // 8 keys fill one line, 8 slices three
+	return merger{
 		spare: make([]record, 0, stride),
-		fwd:   make([]record, 0, stride),
+		rest:  make([][]record, lists),
+		keys:  make([]uint64, lists),
 		seen:  make([]uint32, n),
 	}
 }
 
-// loadForward fills s.fwd with what node from pushes this cycle: its live
-// records with hops left, each with one hop spent, in eviction order and
-// ended by a zero key. A sender's cache does not change between its own
-// merge and its last push, so one list serves all of its pushes.
-func (p *Protocol) loadForward(from int, live uint64, s *pushScratch) {
-	out := s.fwd[:0]
-	for _, r := range p.cache[from] {
+// head returns recs from the first record a merge list delivers, with that
+// record's key: a live record and, for a sender (hop 1), one with a hop
+// left, keyed with that hop spent. It returns nil and 0 when there is none.
+func head(recs []record, live, hop uint64) ([]record, uint64) {
+	for i, r := range recs {
 		if r.key < live {
 			break
 		}
-		if r.key&maxTTL != 0 {
-			r.key--
-			out = append(out, r)
+		if r.key&maxTTL >= hop {
+			return recs[i:], r.key - hop
 		}
 	}
-	s.fwd = append(out, record{})
+	return nil, 0
 }
 
-// push sends node from's forward list to node to. The cycle never pushes
-// a node to itself, so src and dst never alias.
-func (p *Protocol) push(from, to int, live uint64) {
-	p.MessagesSent++
-	p.BytesSent += p.pushInto(from, to, live, &p.scratch)
-}
-
-// pushInto is push's body over caller-owned scratch, returning the bytes
-// sent; s.fwd must hold node from's forward list (loadForward). The
-// parallel executor calls it with per-worker scratch and accumulates the
-// traffic counters itself; the serial path wraps it in push.
+// deliver merges pushes into one cache: nodes[0] receives the pushes of
+// nodes[1:], made in that order in this cycle. Each push is the sender's
+// forward list, read straight from its cache: its live records with a hop
+// left, each with that hop spent. A sender's cache does not change between
+// its pushes and the merge that delivers them, so that is what it pushed.
+// The caller has counted the traffic.
 //
-// The forward list and the receiver's live head are both in eviction order
-// and both end in a zero key, so the receiver's new cache is one merge of
-// the two. Each step takes the larger key, the sender's only when strictly
-// larger, so the receiver keeps its copy of a minting on a tie; the step
-// advances that side by arithmetic, not by a branch. The first copy of an
-// origin the merge reaches is its freshest. The owner's record is always
-// kept; of the rest, the merge keeps the first CacheCapacity, or one fewer
-// when the owner's record is in the merged view, and stops there:
-// everything after is what evicting the stalest records, ties to the lower
-// origin, would drop. If the owner's record is then still pending, its
-// first copy in what is left of either list is appended; it sorts after
-// everything placed. The merge writes into s.spare, which then trades
-// places with the receiver's cache.
-func (p *Protocol) pushInto(from, to int, live uint64, s *pushScratch) uint64 {
-	src := s.fwd
+// The receiver's live head and the forward lists are all in eviction
+// order, so the receiver's new cache is one merge of them (merger.run).
+// The owner's record is always kept; of the rest, the merge keeps the
+// first CacheCapacity, or one fewer when the owner's record is in the
+// merged view, and stops there: everything after is what evicting the
+// stalest records, ties to the lower origin, would drop. If the owner's
+// record is then still pending, its first copy in merge order is appended;
+// it sorts after everything placed. The merge writes into m.spare, which
+// then trades places with the receiver's cache.
+func (p *Protocol) deliver(nodes []int32, live uint64, m *merger) {
+	to := int(nodes[0])
 	recs := p.cache[to]
-	n := len(recs)
-	for n > 0 && recs[n-1].key < live {
-		n--
+	rest, keys := m.rest[:len(nodes)], m.keys[:len(nodes)]
+	for b, n := range nodes {
+		rest[b], keys[b] = head(p.cache[n], live, uint64(min(b, 1)))
 	}
-	dst := recs[:n+1]
-	dst[n] = record{} // over the expired tail, which the push drops anyway
 
 	// Whether the owner's record is in the merged view decides the room
 	// left for the others. The receiver's own copy settles it unless that
-	// is missing or expired; then only a forwarded copy can bring it.
-	ownPending := uint64(p.ownMint[to])<<32 >= live
-	if !ownPending {
-		ownPending = findOrigin(src, to).key != 0
+	// is missing or expired; then only a sender's copy can bring it, and
+	// one can only if newest[to] allows a live one.
+	ownLive := uint64(p.ownMint[to])<<32 >= live
+	var own record
+	if !ownLive && p.newest[to] >= live {
+		own = forwardedOwn(to, rest[1:], record{}, live)
 	}
+	ownPending := ownLive || own.key != 0
 	room := p.cfg.CacheCapacity
 	if ownPending {
 		room--
 	}
-
-	if s.seq++; s.seq == 0 {
-		clear(s.seen)
-		s.seq = 1
-	}
-	seen, seq := s.seen, s.seq
-	out := s.spare[:cap(s.spare)]
-	placed := 0
-	var fwd int32
-	var ownMint uint32
-	si, di := 0, 0
-	for room > 0 {
-		a, b := &src[si], &dst[di]
-		// k is 1 when the sender's key is strictly larger: the borrow of
-		// b.key - a.key. The mask picks that side's key and load.
-		_, k := bits.Sub64(b.key, a.key, 0)
-		mask := -k
-		key := b.key ^ (a.key^b.key)&mask
-		lb := math.Float64bits(b.load)
-		load := lb ^ (math.Float64bits(a.load)^lb)&mask
-		si += int(k)
-		di += int(k ^ 1)
-		if key == 0 {
-			break // both lists are exhausted
+	placed, fwd, ownMint := m.run(len(nodes), to, room, live)
+	if ownPending && ownMint == 0 {
+		// Full before the owner's record came up: take its first copy in
+		// merge order from what is left of the lists. A sender's copy comes
+		// before the receiver's only with a larger key, which newest[to]
+		// rules out unless it lies above the receiver's key plus the hop.
+		if ownLive {
+			for _, r := range rest[0] {
+				if r.origin() == to {
+					own = r
+					break
+				}
+			}
+			if p.newest[to] > own.key+1 {
+				own = forwardedOwn(to, rest[1:], own, live)
+			}
 		}
+		m.spare = append(m.spare[:placed], own)
+		placed++
+		fwd += int32((own.key&maxTTL + maxTTL) >> hopBits)
+		ownMint = own.mint()
+	}
+	p.cache[to], m.spare = m.spare[:placed], recs[:0]
+	p.fwd[to], p.ownMint[to] = fwd, ownMint
+	p.version[to]++
+}
+
+// run merges m's first n lists into m.spare until room records other than
+// node to's own are placed or the lists run out, and returns the records
+// placed, how many have hops left and the mint of to's record among them
+// (0 for none). Each step takes the largest head key; a later list's head
+// only when strictly larger, so of two copies of one minting the
+// receiver's wins, then the earliest sender's. The first copy of an origin
+// the merge reaches is its freshest; the others are skipped.
+func (m *merger) run(n, to, room int, live uint64) (placed int, fwd int32, ownMint uint32) {
+	if m.seq++; m.seq == 0 {
+		clear(m.seen)
+		m.seq = 1
+	}
+	seen, seq := m.seen, m.seq
+	rest, keys := m.rest[:n], m.keys[:n]
+	out := m.spare[:cap(m.spare)]
+	for room > 0 {
+		b, key := 0, keys[0]
+		for j := 1; j < len(keys); j++ {
+			// lt is 1 when list j's key is strictly larger: the borrow of
+			// key - keys[j]. The mask picks that list's key and index.
+			k := keys[j]
+			_, lt := bits.Sub64(key, k, 0)
+			mask := -lt
+			key ^= (key ^ k) & mask
+			b ^= (b ^ j) & int(mask)
+		}
+		if key == 0 {
+			break // every list is exhausted
+		}
+		l := rest[b]
+		load := l[0].load
+		rest[b], keys[b] = head(l[1:], live, uint64(min(b, 1)))
 		origin := uint32(key) >> hopBits
 		if seen[origin] == seq {
 			continue // a fresher copy of this origin is already placed
 		}
 		seen[origin] = seq
-		out[placed] = record{key: key, load: math.Float64frombits(load)}
+		out[placed] = record{key: key, load: load}
 		placed++
 		fwd += int32((key&maxTTL + maxTTL) >> hopBits) // 1 when hops are left
 		if int(origin) == to {
@@ -486,41 +605,27 @@ func (p *Protocol) pushInto(from, to int, live uint64, s *pushScratch) uint64 {
 			room--
 		}
 	}
-	if ownPending && ownMint == 0 {
-		// Full before the owner's record came up: take its first copy in
-		// merge order from either remaining tail. The sender's copy comes
-		// first only with a larger key than the receiver's.
-		r := findOrigin(dst[di:], to)
-		for _, a := range src[si:] {
-			if a.key <= r.key {
-				break
-			}
-			if a.origin() == to {
-				r = a
-				break
-			}
-		}
-		out[placed] = r
-		placed++
-		fwd += int32((r.key&maxTTL + maxTTL) >> hopBits)
-		ownMint = r.mint()
-	}
-	p.cache[to], s.spare = out[:placed], recs[:0]
-	p.fwd[to], p.ownMint[to] = fwd, ownMint
-	p.version[to]++
-	return uint64(p.fwd[from]) * MessageBytes
+	return placed, fwd, ownMint
 }
 
-// findOrigin returns origin's record in recs, stopping at the zero key
-// that ends a merge list; it returns that zero record when origin is not
-// there.
-func findOrigin(recs []record, origin int) record {
-	for _, r := range recs {
-		if r.key == 0 || r.origin() == origin {
-			return r
+// forwardedOwn returns the first copy in merge order of node to's record
+// forwarded from the senders' lists rest, when one has a larger key than
+// best, and best otherwise. Each list is in eviction order, so its scan
+// stops at the first key that cannot beat the best so far.
+func forwardedOwn(to int, rest [][]record, best record, live uint64) record {
+	for _, l := range rest {
+		for _, r := range l {
+			if r.key < live || r.key-1 <= best.key {
+				break
+			}
+			if r.key&maxTTL != 0 && r.origin() == to {
+				r.key--
+				best = r
+				break
+			}
 		}
 	}
-	return record{}
+	return best
 }
 
 // indexOrigin returns the position of origin's record in recs, or -1.
@@ -558,6 +663,7 @@ func (p *Protocol) mergeOwn(at int, rec record) {
 		p.fwd[at]++
 	}
 	p.ownMint[at] = rec.mint()
+	p.newest[at] = rec.key
 	p.version[at]++
 }
 

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -399,17 +400,20 @@ func TestSteadyStateCycleAllocations(t *testing.T) {
 	}
 }
 
-func BenchmarkGossipCycle500(b *testing.B) {
-	engine := sim.NewEngine()
-	grid := newFakeGrid(500, 1)
-	p, err := New(engine, Config{N: 500, Seed: 1}, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Start(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.RunUntil(float64(i+1) * 300)
+// BenchmarkGossipCycle times one serial cycle at the grid sizes of the
+// sweep-churn (60 nodes), daemon-soak (150) and paper-batch (1000) bench
+// workloads, after ten cycles have filled the caches.
+func BenchmarkGossipCycle(b *testing.B) {
+	for _, n := range []int{60, 150, 1000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			engine, _, p := startProtocol(b, n, 1)
+			engine.RunUntil(10 * p.cfg.CycleSeconds)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				engine.RunUntil(float64(i+11) * p.cfg.CycleSeconds)
+			}
+		})
 	}
 }
 

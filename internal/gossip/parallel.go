@@ -9,19 +9,21 @@ import (
 )
 
 // This file parallelizes one gossip cycle without changing a single bit of
-// its outcome. The serial cycle is a sequence of per-node operations -
-// "merge own record at i" and "push i's cache to t" - whose only shared
-// state is the per-node caches: operation k conflicts with operation m iff
-// they touch a common node. The executor therefore replays the EXACT
-// serial operation sequence as a dependency graph: every operation carries
-// its per-endpoint sequence numbers, a per-node progress counter advances
-// as operations at that node complete, and an operation runs once both its
-// endpoints' counters reach it. Workers own disjoint operation
-// subsequences (by origin node) and spin briefly when an operation still
-// waits on a foreign endpoint; since the globally earliest unexecuted
-// operation is always runnable, the schedule is deadlock-free, and because
-// per-node operation order equals the serial order, every cache ends the
-// cycle byte-identical to the serial loop.
+// its outcome. The serial cycle is, in effect, a sequence of per-node
+// operations - "merge own record at i" and "push i's cache to t" - whose
+// only shared state is the per-node caches: operation k conflicts with
+// operation m iff they touch a common node. (The serial loop delivers a
+// receiver's pushes in batches, which leaves every cache as these
+// operations one at a time would; see deliver.) The executor replays that
+// operation sequence as a dependency graph, delivering each push on its
+// own: every operation carries its per-endpoint sequence numbers, a
+// per-node progress counter advances as operations at that node complete,
+// and an operation runs once both its endpoints' counters reach it.
+// Workers own disjoint operation subsequences (by origin node) and spin
+// briefly when an operation still waits on a foreign endpoint; since the
+// globally earliest unexecuted operation is always runnable, the schedule
+// is deadlock-free, and because per-node operation order equals the serial
+// order, every cache ends the cycle byte-identical to the serial loop.
 //
 // Random draws (fan-out targets, aggregation partners) happen up front on
 // one goroutine in the serial draw order, and the aggregation exchanges -
@@ -45,7 +47,7 @@ type parallelCycle struct {
 	opCount  []int32        // per-node op counter used while building
 	progress []atomic.Int32 // per-node executed-op counter
 
-	scratch []pushScratch // per-worker push scratch
+	merge []merger // per-worker merge scratch
 }
 
 // newParallelCycle sizes the op list and the aggregation pairs for a cycle
@@ -58,10 +60,10 @@ func newParallelCycle(n, workers, fanOut, stride int) *parallelCycle {
 		aggPairs: make([]int32, 0, 2*n),
 		opCount:  make([]int32, n),
 		progress: make([]atomic.Int32, n),
-		scratch:  make([]pushScratch, workers),
+		merge:    make([]merger, workers),
 	}
-	for i := range pc.scratch {
-		pc.scratch[i] = newPushScratch(n, stride)
+	for i := range pc.merge {
+		pc.merge[i] = newMerger(n, 2, stride)
 	}
 	return pc
 }
@@ -71,8 +73,8 @@ func newParallelCycle(n, workers, fanOut, stride int) *parallelCycle {
 // and the cycle's mint is in the table.
 func (p *Protocol) cycleParallel(mint uint32, live uint64) {
 	workers := p.cfg.Workers
-	if p.par == nil || len(p.par.scratch) != workers {
-		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.FanOut, p.cfg.CacheCapacity+2)
+	if p.par == nil || len(p.par.merge) != workers {
+		p.par = newParallelCycle(p.cfg.N, workers, p.cfg.FanOut, p.cfg.CacheCapacity+1)
 	}
 	pc := p.par
 
@@ -114,11 +116,11 @@ func (p *Protocol) cycleParallel(mint uint32, live uint64) {
 	// Stage B (parallel): execute the schedule. Worker w owns the ops
 	// whose origin node is congruent to w; it walks them in schedule order
 	// and waits for foreign endpoints to catch up. A node's merge and its
-	// pushes are consecutive in the schedule and owned by one worker, so
-	// the forward list that worker builds after the merge serves the
-	// pushes that follow. Progress counters are written only by the worker
-	// executing that node's current op and read with acquire semantics, so
-	// cache mutations are properly published.
+	// pushes are consecutive in its own op sequence, so its cache does not
+	// change while its pushes read their forward list from it. Progress
+	// counters are written only by the worker executing that node's current
+	// op and read with acquire semantics, so cache mutations are properly
+	// published.
 	var msgs, bytes uint64
 	if len(pc.ops) > 0 {
 		var wg sync.WaitGroup
@@ -127,7 +129,8 @@ func (p *Protocol) cycleParallel(mint uint32, live uint64) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				scratch := &pc.scratch[w]
+				merge := &pc.merge[w]
+				var nodes [2]int32
 				var m, b uint64
 				for k := range pc.ops {
 					op := &pc.ops[k]
@@ -140,14 +143,15 @@ func (p *Protocol) cycleParallel(mint uint32, live uint64) {
 					if op.to == op.from {
 						i := int(op.from)
 						p.mergeOwn(i, record{key: packKey(mint, i, p.cfg.TTL), load: pc.ownLoads[i]})
-						p.loadForward(i, live, scratch)
 						pc.progress[op.from].Store(op.seqFrom + 1)
 						continue
 					}
 					for pc.progress[op.to].Load() != op.seqTo {
 						runtime.Gosched()
 					}
-					b += p.pushInto(int(op.from), int(op.to), live, scratch)
+					nodes[0], nodes[1] = op.to, op.from
+					p.deliver(nodes[:], live, merge)
+					b += uint64(p.fwd[op.from]) * MessageBytes
 					m++
 					pc.progress[op.from].Store(op.seqFrom + 1)
 					pc.progress[op.to].Store(op.seqTo + 1)

@@ -105,15 +105,20 @@ const (
 	pushExpiry = 1200.0 // the default 4 cycles of 300 s
 	pushNodes  = 64
 	maxPushCap = 13
+	maxSenders = 6
 )
 
 // pushHarness is a protocol from New whose caches a test installs
-// directly, plus one push scratch reused across trials, as a cycle reuses
-// it. mints0 is the length of New's mint table, before any cycle minted.
+// directly, plus one merger reused across trials, as a cycle reuses its
+// own. mints0 is the length of New's mint table, before any cycle minted.
+// checks counts the merges checked; every other one bounds the origins'
+// keys as loosely as it can, so the merge scans the senders for the
+// owner's record whenever the receiver is full before reaching it.
 type pushHarness struct {
-	p       *Protocol
-	mints0  int
-	scratch pushScratch
+	p      *Protocol
+	mints0 int
+	merge  merger
+	checks int
 }
 
 func newPushHarness() *pushHarness {
@@ -124,7 +129,7 @@ func newPushHarness() *pushHarness {
 	if p.expirySeconds() != pushExpiry {
 		panic("push harness: expiry is not the default")
 	}
-	return &pushHarness{p: p, mints0: len(p.mints), scratch: newPushScratch(pushNodes, maxPushCap+2)}
+	return &pushHarness{p: p, mints0: len(p.mints), merge: newMerger(pushNodes, maxSenders+1, maxPushCap+1)}
 }
 
 // stamp rebuilds the mint table from the trial's mint times, in increasing
@@ -157,7 +162,7 @@ func (h *pushHarness) stamp(t *testing.T, sides ...[]StateRecord) map[float64]ui
 // install sets node's cache to recs, packed and in eviction order, with
 // its fwd and ownMint bookkeeping.
 func (h *pushHarness) install(node int, recs []StateRecord, mintOf map[float64]uint32) {
-	c := make([]record, len(recs), max(len(recs)+1, maxPushCap+2))
+	c := make([]record, len(recs), max(len(recs), maxPushCap+1))
 	for i, r := range recs {
 		c[i] = record{key: packKey(mintOf[r.Timestamp], r.Node, r.TTL), load: r.TotalLoadMI}
 	}
@@ -198,47 +203,85 @@ func checkEvictionOrder(t *testing.T, what string, recs []record) {
 	}
 }
 
-// check pushes src (node from's cache) into dst (node to's) and compares
-// the outcome with pushReference. src and dst may be in any order.
-func (h *pushHarness) check(t *testing.T, what string, capacity, from, to int, src, dst []StateRecord) {
+// delivery is one merge to check: the receiver to and its cache dst, and
+// the senders from with their caches srcs, in push order. The caches may
+// be in any order.
+type delivery struct {
+	capacity, to int
+	from         []int
+	dst          []StateRecord
+	srcs         [][]StateRecord
+}
+
+// check delivers d's pushes in one merge and compares the outcome with
+// pushReference applied once per sender, in push order: the receiver's
+// records and their loads, eviction order, the fwd and ownMint
+// bookkeeping, one version bump, untouched senders, and the bytes the
+// senders are charged. It returns the receiver's records in origin order.
+func (h *pushHarness) check(t *testing.T, what string, d delivery) []StateRecord {
 	t.Helper()
-	sortOrigin(src)
-	sortOrigin(dst)
-	want, wantBytes := pushReference(src, dst, to, capacity, pushNow, pushExpiry)
+	sortOrigin(d.dst)
+	want := d.dst
+	var wantBytes uint64
+	for _, src := range d.srcs {
+		sortOrigin(src)
+		var b uint64
+		want, b = pushReference(src, want, d.to, d.capacity, pushNow, pushExpiry)
+		wantBytes += b
+	}
 
 	p := h.p
-	p.cfg.CacheCapacity = capacity
-	mintOf := h.stamp(t, src, dst)
-	h.install(from, src, mintOf)
-	h.install(to, dst, mintOf)
-	srcBefore := slices.Clone(p.cache[from])
-	version := p.version[to]
-	live := p.liveKey(pushNow)
-	p.loadForward(from, live, &h.scratch)
-	bytes := p.pushInto(from, to, live, &h.scratch)
+	p.cfg.CacheCapacity = d.capacity
+	mintOf := h.stamp(t, append([][]StateRecord{d.dst}, d.srcs...)...)
+	h.install(d.to, d.dst, mintOf)
+	nodes := []int32{int32(d.to)}
+	var before [][]record
+	var bytes uint64
+	for j, from := range d.from {
+		h.install(from, d.srcs[j], mintOf)
+		nodes = append(nodes, int32(from))
+		before = append(before, slices.Clone(p.cache[from]))
+		bytes += uint64(p.fwd[from]) * MessageBytes
+	}
+	clear(p.newest)
+	for _, n := range nodes {
+		for _, r := range p.cache[n] {
+			p.newest[r.origin()] = max(p.newest[r.origin()], r.key)
+		}
+	}
+	if h.checks++; h.checks%2 == 0 {
+		for o := range p.newest {
+			p.newest[o] = math.MaxUint64
+		}
+	}
+	version := p.version[d.to]
+	p.deliver(nodes, p.liveKey(pushNow), &h.merge)
 
-	checkEvictionOrder(t, what, p.cache[to])
-	got := make([]StateRecord, 0, len(p.cache[to]))
-	for _, r := range p.cache[to] {
+	checkEvictionOrder(t, what, p.cache[d.to])
+	got := make([]StateRecord, 0, len(p.cache[d.to]))
+	for _, r := range p.cache[d.to] {
 		got = append(got, p.stateRecord(r))
 	}
 	sortOrigin(got)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s (from %d, to %d, cap %d):\nsrc  %+v\ndst  %+v\ngot  %+v\nwant %+v",
-			what, from, to, capacity, src, dst, got, want)
+		t.Fatalf("%s (to %d, from %v, cap %d):\ndst  %+v\nsrcs %+v\ngot  %+v\nwant %+v",
+			what, d.to, d.from, d.capacity, d.dst, d.srcs, got, want)
 	}
 	if bytes != wantBytes {
 		t.Fatalf("%s: %d bytes sent, want %d", what, bytes, wantBytes)
 	}
-	if fwd, ownMint := recount(to, p.cache[to]); p.fwd[to] != fwd || p.ownMint[to] != ownMint {
-		t.Fatalf("%s: fwd %d ownMint %d, recomputed %d %d", what, p.fwd[to], p.ownMint[to], fwd, ownMint)
+	if fwd, ownMint := recount(d.to, p.cache[d.to]); p.fwd[d.to] != fwd || p.ownMint[d.to] != ownMint {
+		t.Fatalf("%s: fwd %d ownMint %d, recomputed %d %d", what, p.fwd[d.to], p.ownMint[d.to], fwd, ownMint)
 	}
-	if p.version[to] != version+1 {
-		t.Fatalf("%s: version bumped %d times, want once", what, p.version[to]-version)
+	if p.version[d.to] != version+1 {
+		t.Fatalf("%s: version bumped %d times, want once", what, p.version[d.to]-version)
 	}
-	if !slices.Equal(p.cache[from], srcBefore) {
-		t.Fatalf("%s: push changed the sender's cache", what)
+	for j, from := range d.from {
+		if !slices.Equal(p.cache[from], before[j]) {
+			t.Fatalf("%s: the merge changed sender %d's cache", what, from)
+		}
 	}
+	return got
 }
 
 // Owner placements a trial can force.
@@ -250,77 +293,118 @@ const (
 	ownerCases
 )
 
-// pushTrial is one drawn push: the two caches, the endpoints and the
-// capacity.
-type pushTrial struct {
-	capacity, from, to int
-	src, dst           []StateRecord
-}
-
-// drawTrial draws a push over a universe of origins small enough that the
-// two caches overlap heavily. stamp draws a mint time; owner places the
-// receiver's own record. Each origin draws one capacity, which every copy
-// of its record carries.
-func drawTrial(rng *rand.Rand, stamp func() float64, owner int) pushTrial {
+// drawDelivery draws a merge of k senders' pushes over a universe of
+// origins small enough that the caches overlap heavily. stamp draws a mint
+// time; owner places the receiver's own record. Each origin draws one
+// capacity, which every copy of its record carries. A sender's copy often
+// repeats the minting of an earlier list's copy, with the hops that make
+// the forwarded keys equal about half the time; each list draws its loads
+// from a range of its own, so an equal key shows which copy was kept.
+func drawDelivery(rng *rand.Rand, stamp func() float64, owner, k int) delivery {
 	capacity := 1 + rng.Intn(maxPushCap)
 	if rng.Intn(3) == 0 {
 		capacity = 1 + rng.Intn(3)
 	}
 	universe := min(pushNodes, 2*capacity+2+rng.Intn(8))
-	tr := pushTrial{capacity: capacity, to: rng.Intn(universe)}
-	tr.from = (tr.to + 1 + rng.Intn(universe-1)) % universe
-	inSrc := rng.Float64()
-	inDst := rng.Float64()
+	d := delivery{capacity: capacity, to: rng.Intn(universe)}
+	for _, n := range rng.Perm(max(universe, k+1)) {
+		if n != d.to && len(d.from) < k {
+			d.from = append(d.from, n)
+		}
+	}
+	d.srcs = make([][]StateRecord, k)
+	density := make([]float64, k+1)
+	for j := range density {
+		density[j] = rng.Float64()
+	}
+	// lists[0] is the receiver's cache, lists[j] sender j's.
+	lists := func(j int) *[]StateRecord {
+		if j == 0 {
+			return &d.dst
+		}
+		return &d.srcs[j-1]
+	}
 	for o := 0; o < universe; o++ {
-		if o == tr.to {
+		if o == d.to {
 			continue
 		}
-		hasSrc := rng.Float64() < inSrc && len(tr.src) < capacity
-		hasDst := rng.Float64() < inDst && len(tr.dst) < capacity
 		c := float64(1 + rng.Intn(16))
-		var d StateRecord
-		if hasDst {
-			d = StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), Capacity: c}
-			tr.dst = append(tr.dst, d)
-		}
-		if hasSrc {
-			s := StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), Capacity: c, TotalLoadMI: float64(rng.Intn(100))}
-			if hasDst && rng.Intn(2) == 0 {
-				s.Timestamp = d.Timestamp // the same minting on both sides
+		var prev *StateRecord // an earlier list's copy
+		var prevList int
+		for j := 0; j <= k; j++ {
+			l := lists(j)
+			if rng.Float64() >= density[j] || len(*l) >= capacity {
+				continue
 			}
-			tr.src = append(tr.src, s)
+			rec := StateRecord{Node: o, Timestamp: stamp(), TTL: rng.Intn(5), Capacity: c, TotalLoadMI: float64(100*j + rng.Intn(100))}
+			if prev != nil && rng.Intn(2) == 0 {
+				rec.Timestamp = prev.Timestamp // the same minting as the earlier copy
+				hops := prev.TTL               // its key's hops, forwarded or not
+				if prevList > 0 {
+					hops--
+				}
+				if hops < 4 && rng.Intn(2) == 0 {
+					rec.TTL = hops + 1 // forwarded, the same key
+				}
+			}
+			*l = append(*l, rec)
+			prev, prevList = &(*l)[len(*l)-1], j
 		}
 	}
 	ownCap := float64(1 + rng.Intn(16))
-	own := func(ts float64) StateRecord {
-		return StateRecord{Node: tr.to, Timestamp: ts, TTL: rng.Intn(5), Capacity: ownCap, TotalLoadMI: float64(rng.Intn(100))}
+	own := func(ts float64, list int) StateRecord {
+		return StateRecord{Node: d.to, Timestamp: ts, TTL: rng.Intn(5), Capacity: ownCap, TotalLoadMI: float64(100*list + rng.Intn(100))}
 	}
 	live := func() float64 { return pushNow - 300*float64(rng.Intn(5)) }
 	expired := func() float64 { return pushNow - pushExpiry - 1 - 300*float64(rng.Intn(2)) }
-	switch owner {
-	case ownerInDst:
-		tr.dst = append(tr.dst, own(live()))
-		if rng.Intn(2) == 0 {
-			tr.src = append(tr.src, own(live()))
-		}
-	case ownerOnlySrc:
-		tr.src = append(tr.src, own(live()))
-	case ownerExpiredInDst:
-		tr.dst = append(tr.dst, own(expired()))
-		if rng.Intn(3) > 0 {
-			tr.src = append(tr.src, own(live()))
+	someSenders := func() {
+		for j := range d.srcs {
+			if rng.Intn(k) == 0 {
+				d.srcs[j] = append(d.srcs[j], own(live(), j+1))
+			}
 		}
 	}
-	return tr
+	switch owner {
+	case ownerInDst:
+		d.dst = append(d.dst, own(live(), 0))
+		if rng.Intn(2) == 0 {
+			someSenders()
+		}
+	case ownerOnlySrc:
+		j := rng.Intn(k)
+		d.srcs[j] = append(d.srcs[j], own(live(), j+1))
+		if rng.Intn(2) == 0 {
+			someSenders()
+		}
+	case ownerExpiredInDst:
+		d.dst = append(d.dst, own(expired(), 0))
+		if rng.Intn(3) > 0 {
+			someSenders()
+		}
+	}
+	for j := range d.srcs {
+		d.srcs[j] = uniqueOrigins(d.srcs[j])
+	}
+	return d
 }
 
-// TestPushMatchesReference pins the packed eviction-order merge to the
-// origin-order merge plus per-victim eviction it replaced: the same
-// receiver record set, the same bytes sent, over mint-time families that
-// stress ties, expiry and every placement of the owner's record.
-func TestPushMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	families := []struct {
+// uniqueOrigins keeps the first record of each origin.
+func uniqueOrigins(recs []StateRecord) []StateRecord {
+	seen := map[int]bool{}
+	return slices.DeleteFunc(recs, func(r StateRecord) bool {
+		dup := seen[r.Node]
+		seen[r.Node] = true
+		return dup
+	})
+}
+
+// stampFamilies are the mint-time distributions the randomized tests draw
+// from.
+func stampFamilies(rng *rand.Rand) []struct {
+	name  string
+	stamp func() float64
+} {
+	return []struct {
 		name  string
 		stamp func() float64
 	}{
@@ -335,63 +419,199 @@ func TestPushMatchesReference(t *testing.T) {
 		// One or two layers, as right after a restart.
 		{"layers", func() float64 { return pushNow - 300*float64(rng.Intn(2)) }},
 	}
+}
+
+// TestPushMatchesReference pins a one-sender merge to the origin-order
+// merge plus per-victim eviction it replaced: the same receiver record
+// set, the same bytes sent, over mint-time families that stress ties,
+// expiry and every placement of the owner's record.
+func TestPushMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
 	h := newPushHarness()
-	for _, f := range families {
+	for _, f := range stampFamilies(rng) {
 		for trial := 0; trial < 5000; trial++ {
 			if trial == 2500 {
-				h.scratch.seq = math.MaxUint32 - 3 // wrap the origin stamps mid-family
+				h.merge.seq = math.MaxUint32 - 3 // wrap the origin stamps mid-family
 			}
-			tr := drawTrial(rng, f.stamp, trial%ownerCases)
-			h.check(t, f.name, tr.capacity, tr.from, tr.to, tr.src, tr.dst)
+			h.check(t, f.name, drawDelivery(rng, f.stamp, trial%ownerCases, 1))
 		}
 	}
 }
 
-// FuzzPush drives the same comparison from fuzz bytes. The first three
-// bytes pick the capacity (1-13) and the endpoints among 16 origins. Each
-// following three-byte group adds one origin's records: the origin and its
-// side (sender, receiver, both with one minting, or both with the
-// receiver's a cycle older), the two TTLs, and a mint time (the cycle
-// grid, the expiry boundary, or a continuous age); the origin's first
-// group also sets its capacity. The harness maps the mint times to mints
-// in increasing order. The seed corpus in
+// TestDeliverMatchesReference pins the merge of k = 1-6 senders' pushes to
+// k pushes one at a time, each the origin-order reference, over the same
+// mint-time families and owner placements.
+func TestDeliverMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	h := newPushHarness()
+	for _, f := range stampFamilies(rng) {
+		for trial := 0; trial < 3000; trial++ {
+			if trial == 1500 {
+				h.merge.seq = math.MaxUint32 - 3
+			}
+			k := 1 + trial%maxSenders
+			h.check(t, f.name, drawDelivery(rng, f.stamp, trial/maxSenders%ownerCases, k))
+		}
+	}
+}
+
+// TestDeliverCases spells out the merges where the order of the pushes
+// shows: equal keys with different loads, as AddLoadHint leaves them, and
+// the owner's record held only by a sender, expired or missing. Each case
+// is also compared with the pushes one at a time.
+func TestDeliverCases(t *testing.T) {
+	const now, old = pushNow, pushNow - 300
+	rec := func(node int, ts float64, ttl int, load float64) StateRecord {
+		return StateRecord{Node: node, Capacity: float64(1 + node%4), Timestamp: ts, TTL: ttl, TotalLoadMI: load}
+	}
+	expired := now - pushExpiry - 1
+	// filler is n records of origins 20.. minted now with two hops left;
+	// of one minting, a merge keeps the higher origins first.
+	filler := func(n int, load float64) []StateRecord {
+		var recs []StateRecord
+		for o := 20; o < 20+n; o++ {
+			recs = append(recs, rec(o, now, 2, load))
+		}
+		return recs
+	}
+	for _, tc := range []struct {
+		name string
+		d    delivery
+		// want maps an origin to the load its kept copy carries, or to -1
+		// when the receiver must not hold it.
+		want map[int]float64
+	}{
+		{"receiver wins an equal key", delivery{
+			capacity: 8, to: 0, from: []int{1, 2},
+			dst:  []StateRecord{rec(5, old, 2, 10)},
+			srcs: [][]StateRecord{{rec(5, old, 3, 20)}, {rec(5, old, 3, 30)}},
+		}, map[int]float64{5: 10}},
+		{"earliest sender wins an equal key", delivery{
+			capacity: 8, to: 0, from: []int{3, 1, 2},
+			dst:  []StateRecord{rec(6, old, 1, 5)},
+			srcs: [][]StateRecord{{rec(5, old, 3, 20)}, {rec(5, old, 3, 30)}, {rec(5, old, 3, 40)}},
+		}, map[int]float64{5: 20, 6: 5}},
+		{"a later sender's fresher copy wins", delivery{
+			capacity: 8, to: 0, from: []int{1, 2},
+			dst:  []StateRecord{rec(5, old, 2, 10)},
+			srcs: [][]StateRecord{{rec(5, old, 4, 20)}, {rec(5, now, 1, 30)}},
+		}, map[int]float64{5: 30}},
+		{"more hops win one minting", delivery{
+			capacity: 8, to: 0, from: []int{1, 2},
+			dst:  []StateRecord{rec(5, old, 1, 10)},
+			srcs: [][]StateRecord{{rec(5, old, 2, 20)}, {rec(5, old, 4, 30)}},
+		}, map[int]float64{5: 30}},
+		{"spent and expired records stay home", delivery{
+			capacity: 8, to: 0, from: []int{1, 2},
+			srcs: [][]StateRecord{{rec(5, now, 0, 20), rec(6, expired, 3, 20)}, {rec(7, now, 1, 30)}},
+		}, map[int]float64{5: -1, 6: -1, 7: 30}},
+		{"owner only in a sender, receiver full", delivery{
+			capacity: 3, to: 0, from: []int{1, 2, 3},
+			dst:  filler(3, 1),
+			srcs: [][]StateRecord{filler(3, 2), {rec(0, old, 3, 7)}, {rec(0, old, 3, 8)}},
+		}, map[int]float64{0: 7, 22: 1, 21: 1, 20: -1}},
+		{"owner expired at the receiver, live at a sender", delivery{
+			capacity: 2, to: 0, from: []int{1, 2},
+			dst:  append(filler(2, 1), rec(0, expired, 4, 9)),
+			srcs: [][]StateRecord{{rec(30, now, 3, 2)}, {rec(0, old, 2, 8)}},
+		}, map[int]float64{0: 8, 30: 2, 20: -1, 21: -1}},
+		{"owner expired everywhere", delivery{
+			capacity: 2, to: 0, from: []int{1},
+			dst:  []StateRecord{rec(0, expired, 4, 9)},
+			srcs: [][]StateRecord{append(filler(3, 2), rec(0, expired, 3, 8))},
+		}, map[int]float64{0: -1, 22: 2, 21: 2, 20: -1}},
+		{"owner missing", delivery{
+			capacity: 2, to: 0, from: []int{1, 2},
+			dst:  filler(1, 1),
+			srcs: [][]StateRecord{filler(2, 2), {rec(9, now, 1, 3)}},
+		}, map[int]float64{0: -1, 20: 1, 21: 2, 9: -1}},
+		{"receiver's own copy beats an equal forwarded one", delivery{
+			capacity: 2, to: 0, from: []int{1, 2},
+			dst:  append(filler(3, 1), rec(0, old, 3, 9)),
+			srcs: [][]StateRecord{filler(3, 2), {rec(0, old, 4, 8)}},
+		}, map[int]float64{0: 9, 22: 1, 21: -1}},
+		{"capacity 1 keeps only the owner", delivery{
+			capacity: 1, to: 0, from: []int{1, 2, 3, 4, 5, 6},
+			dst:  []StateRecord{rec(0, old, 4, 9)},
+			srcs: [][]StateRecord{filler(2, 1), filler(2, 2), filler(2, 3), filler(2, 4), filler(2, 5), filler(2, 6)},
+		}, map[int]float64{0: 9, 20: -1, 21: -1}},
+		{"capacity 13 over six senders", delivery{
+			capacity: 13, to: 0, from: []int{6, 5, 4, 3, 2, 1},
+			dst:  filler(4, 1),
+			srcs: [][]StateRecord{filler(6, 2), filler(8, 3), filler(10, 4), filler(12, 5), filler(14, 6), filler(16, 7)},
+		}, map[int]float64{20: -1, 22: -1, 23: 1, 24: 2, 26: 3, 28: 4, 32: 6, 35: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := newPushHarness().check(t, tc.name, tc.d)
+			for origin, load := range tc.want {
+				i := slices.IndexFunc(got, func(r StateRecord) bool { return r.Node == origin })
+				switch {
+				case load < 0 && i >= 0:
+					t.Errorf("origin %d kept (%+v), want it gone", origin, got[i])
+				case load >= 0 && i < 0:
+					t.Errorf("origin %d gone, want load %v", origin, load)
+				case load >= 0 && got[i].TotalLoadMI != load:
+					t.Errorf("origin %d kept with load %v, want %v", origin, got[i].TotalLoadMI, load)
+				}
+			}
+		})
+	}
+}
+
+// fuzzBytes hands out a fuzz input one byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (f *fuzzBytes) next() int {
+	if len(*f) == 0 {
+		return 0
+	}
+	b := (*f)[0]
+	*f = (*f)[1:]
+	return int(b)
+}
+
+// fuzzStamp maps a byte to a mint time: the cycle grid, the expiry
+// boundary, or a continuous age.
+func fuzzStamp(c int) float64 {
+	switch c % 3 {
+	case 0:
+		return pushNow - 300*float64(c/3%7)
+	case 1:
+		return pushNow - pushExpiry + float64(c/3%3) - 1
+	default:
+		return pushNow - float64(c/3)/85*1.5*pushExpiry
+	}
+}
+
+// FuzzPush drives the one-sender comparison from fuzz bytes. The first
+// three bytes pick the capacity (1-13) and the endpoints among 16 origins.
+// Each following three-byte group adds one origin's records: the origin
+// and its side (sender, receiver, both with one minting, or both with the
+// receiver's a cycle older), the two TTLs, and a mint time (fuzzStamp);
+// the origin's first group also sets its capacity. The harness maps the
+// mint times to mints in increasing order. The seed corpus in
 // testdata/fuzz/FuzzPush covers each mint-time family, capacities 1-13,
 // every placement of the owner's record and same-minting TTL pairs.
 func FuzzPush(f *testing.F) {
 	h := newPushHarness()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
+		in := fuzzBytes(data)
 		const universe = 16
-		capacity := 1 + next()%maxPushCap
-		to := next() % universe
-		from := (to + 1 + next()%(universe-1)) % universe
+		capacity := 1 + in.next()%maxPushCap
+		to := in.next() % universe
+		from := (to + 1 + in.next()%(universe-1)) % universe
 		var src, dst []StateRecord
 		var caps [universe]float64
 		has := func(recs []StateRecord, o int) bool {
 			return slices.ContainsFunc(recs, func(r StateRecord) bool { return r.Node == o })
 		}
-		for len(data) > 0 {
-			a, b, c := next(), next(), next()
+		for len(in) > 0 {
+			a, b, c := in.next(), in.next(), in.next()
 			o := a % universe
 			if caps[o] == 0 {
 				caps[o] = float64(1 + c%16) // the origin's first group draws its capacity
 			}
-			rec := StateRecord{Node: o, TTL: b % 5, Capacity: caps[o]}
-			switch sel := c % 3; sel {
-			case 0:
-				rec.Timestamp = pushNow - 300*float64(c/3%7)
-			case 1:
-				rec.Timestamp = pushNow - pushExpiry + float64(c/3%3) - 1
-			default:
-				rec.Timestamp = pushNow - float64(c/3)/85*1.5*pushExpiry
-			}
+			rec := StateRecord{Node: o, TTL: b % 5, Capacity: caps[o], Timestamp: fuzzStamp(c)}
 			side := a / universe % 4
 			if side != 1 && !has(src, rec.Node) {
 				src = append(src, rec)
@@ -406,6 +626,72 @@ func FuzzPush(f *testing.F) {
 				dst = append(dst, d)
 			}
 		}
-		h.check(t, "fuzz", capacity, from, to, src, dst)
+		h.check(t, "fuzz", delivery{capacity: capacity, to: to, from: []int{from}, dst: dst, srcs: [][]StateRecord{src}})
+	})
+}
+
+// FuzzDeliver drives the k-sender comparison from fuzz bytes. The first
+// three bytes pick the capacity (1-13), the receiver among 16 origins, and
+// the number of senders k (1-6) with an offset that places them after the
+// receiver. Each following four-byte group adds one origin's records:
+//   - the origin;
+//   - the lists holding it, a non-empty subset of the receiver and the k
+//     senders;
+//   - a mint time (fuzzStamp), which the origin's first group also turns
+//     into its capacity;
+//   - a TTL and a mode: every copy one minting with keys equal after
+//     forwarding, one minting with TTLs spread, every other list's copy a
+//     cycle older, or one minting and one TTL.
+//
+// Each copy carries a load of its own, so an equal key shows which copy
+// was kept. The seed corpus in testdata/fuzz/FuzzDeliver covers k = 1-6,
+// capacities 1-13, equal keys and every placement of the owner's record.
+func FuzzDeliver(f *testing.F) {
+	h := newPushHarness()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		const universe = 16
+		d := delivery{capacity: 1 + in.next()%maxPushCap, to: in.next() % universe}
+		kb := in.next()
+		k, offset := 1+kb%maxSenders, kb/maxSenders%(universe-maxSenders)
+		d.srcs = make([][]StateRecord, k)
+		for j := 0; j < k; j++ {
+			d.from = append(d.from, (d.to+1+offset+j)%universe)
+		}
+		var caps [universe]float64
+		for len(in) > 0 {
+			a, b, c, e := in.next(), in.next(), in.next(), in.next()
+			o := a % universe
+			if caps[o] == 0 {
+				caps[o] = float64(1 + c%16)
+			}
+			holders := 1 + b%(1<<(k+1)-1)
+			ttl, mode := e%5, e/5%4
+			for l := 0; l <= k; l++ {
+				if holders>>l&1 == 0 {
+					continue
+				}
+				rec := StateRecord{Node: o, Capacity: caps[o], Timestamp: fuzzStamp(c), TotalLoadMI: float64(100*l + a/universe)}
+				switch mode {
+				case 0: // equal keys: a sender's copy spends a hop on the way
+					rec.TTL = min(ttl+min(l, 1), 4)
+				case 1:
+					rec.TTL = (ttl + 2*l) % 5
+				case 2:
+					rec.TTL = (ttl + l) % 5
+					rec.Timestamp -= 300 * float64(l%2)
+				default:
+					rec.TTL = ttl
+				}
+				list := &d.dst
+				if l > 0 {
+					list = &d.srcs[l-1]
+				}
+				if !slices.ContainsFunc(*list, func(r StateRecord) bool { return r.Node == o }) {
+					*list = append(*list, rec)
+				}
+			}
+		}
+		h.check(t, "fuzz", d)
 	})
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -55,9 +56,46 @@ func refGenerate(cfg Config) (*refNetwork, error) {
 			}
 		}
 	}
-	(&Network{Pos: net.Pos}).patchConnectivity(uf, addLink)
+	refPatchConnectivity(net.Pos, uf, addLink)
 	net.computeAllPairs()
 	return net, nil
+}
+
+// refPatchConnectivity is patchConnectivity as it was, rebuilding a map of
+// every component, a slice per component, for each bridge.
+func refPatchConnectivity(pos []Point, uf *unionFind, addLink func(i, j int)) {
+	n := len(pos)
+	for {
+		roots := make(map[int][]int)
+		for i := 0; i < n; i++ {
+			r := uf.find(i)
+			roots[r] = append(roots[r], i)
+		}
+		if len(roots) <= 1 {
+			return
+		}
+		// Take an arbitrary-but-deterministic component (smallest root id)
+		// and connect its closest outside node.
+		minRoot := -1
+		for r := range roots {
+			if minRoot == -1 || r < minRoot {
+				minRoot = r
+			}
+		}
+		best := math.Inf(1)
+		bi, bj := -1, -1
+		for _, i := range roots[minRoot] {
+			for j := 0; j < n; j++ {
+				if uf.find(j) == minRoot {
+					continue
+				}
+				if d := pos[i].Dist(pos[j]); d < best {
+					best, bi, bj = d, i, j
+				}
+			}
+		}
+		addLink(bi, bj)
+	}
 }
 
 // computeAllPairs builds the maximum spanning tree (by bandwidth) and, for
@@ -173,18 +211,20 @@ func (net *refNetwork) avgBandwidth() float64 {
 // is returned as its message, so a build that panics matches only a
 // reference that panics the same way.
 func generateBoth(cfg Config) (got *Network, want *refNetwork, gotPanic, wantPanic string) {
-	catch := func(build func()) (msg string) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg = fmt.Sprint(r)
-			}
-		}()
-		build()
-		return ""
-	}
-	wantPanic = catch(func() { want, _ = refGenerate(cfg) })
-	gotPanic = catch(func() { got, _ = Generate(cfg) })
+	wantPanic = catchPanic(func() { want, _ = refGenerate(cfg) })
+	gotPanic = catchPanic(func() { got, _ = Generate(cfg) })
 	return got, want, gotPanic, wantPanic
+}
+
+// catchPanic runs build and returns its panic's message, or "".
+func catchPanic(build func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	build()
+	return ""
 }
 
 // diffReference returns the first difference between a network and the
@@ -298,8 +338,10 @@ func TestAllPairsSumOrder(t *testing.T) {
 
 // FuzzGenerate pins the one-pass build to the reference on any Waxman
 // parameters and bandwidth range, NaN, infinite, negative and degenerate
-// ranges included. Where the reference panics (a range whose links never
-// reach a non-negative bandwidth), the build must panic the same way.
+// ranges included. A range that lets a link draw a negative, infinite or
+// NaN bandwidth (stats.Range.Sample returns Min when Max <= Min, else
+// values from Min up to Max) must fail with ErrConfig and never panic;
+// every other config must build what the reference builds, bit for bit.
 func FuzzGenerate(f *testing.F) {
 	f.Add(uint16(60), int64(1), 0.15, 0.25, 0.1, 10.0)
 	f.Fuzz(func(t *testing.T, n uint16, seed int64, alpha, beta, bwMin, bwMax float64) {
@@ -307,12 +349,26 @@ func FuzzGenerate(f *testing.F) {
 			N: 1 + int(n%300), Seed: seed, Alpha: alpha, Beta: beta,
 			BandwidthRange: stats.Range{Min: bwMin, Max: bwMax},
 		}
-		got, want, gotPanic, wantPanic := generateBoth(cfg)
-		if gotPanic != wantPanic {
-			t.Fatalf("%+v: panics %q, reference %q", cfg, gotPanic, wantPanic)
+		lo, hi := bwMin, bwMax
+		if hi <= lo {
+			hi = lo
 		}
-		if wantPanic != "" {
+		if lo == 0 && bwMax == 0 {
+			lo, hi = 0.1, 10 // the zero range takes the default
+		}
+		if !(lo >= 0) || !(hi < math.Inf(1)) {
+			var err error
+			if msg := catchPanic(func() { _, err = Generate(cfg) }); msg != "" {
+				t.Fatalf("%+v: panic %q, want ErrConfig", cfg, msg)
+			}
+			if !errors.Is(err, ErrConfig) {
+				t.Fatalf("%+v: error %v, want ErrConfig", cfg, err)
+			}
 			return
+		}
+		got, want, gotPanic, wantPanic := generateBoth(cfg)
+		if gotPanic != "" || wantPanic != "" {
+			t.Fatalf("%+v: panics %q, reference %q", cfg, gotPanic, wantPanic)
 		}
 		if err := diffReference(got, want); err != nil {
 			t.Fatalf("%+v: %v", cfg, err)

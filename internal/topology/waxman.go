@@ -23,6 +23,7 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -146,11 +147,32 @@ func (u *unionFind) union(a, b int) bool {
 	return true
 }
 
+// ErrConfig is wrapped by every error Generate returns for a Config it
+// cannot build: no nodes, or a bandwidth range that lets a link draw a
+// negative, infinite or NaN bandwidth, which the widest-path tree cannot
+// span.
+var ErrConfig = errors.New("topology: bad config")
+
+// drawsFinite reports whether every value r.Sample can return is finite
+// and non-negative: Min when Max <= Min, else values from Min up to Max.
+// Comparisons with NaN are false, so a NaN end fails.
+func drawsFinite(r stats.Range) bool {
+	hi := r.Max
+	if r.Max <= r.Min {
+		hi = r.Min
+	}
+	return r.Min >= 0 && hi < math.Inf(1)
+}
+
 // Generate builds a connected Waxman network.
 func Generate(cfg Config) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 1 {
-		return nil, fmt.Errorf("topology: need at least 1 node, got %d", cfg.N)
+		return nil, fmt.Errorf("%w: need at least 1 node, got %d", ErrConfig, cfg.N)
+	}
+	if r := cfg.BandwidthRange; !drawsFinite(r) {
+		return nil, fmt.Errorf("%w: bandwidth range [%v, %v] lets a link draw a negative, infinite or NaN bandwidth",
+			ErrConfig, r.Min, r.Max)
 	}
 	rng := stats.NewRand(cfg.Seed, 0xA1)
 	n := cfg.N
@@ -232,28 +254,31 @@ func (net *Network) fillAdj(links []linkRec, deg []int32) {
 
 // patchConnectivity bridges components by repeatedly linking the closest
 // node pair that spans two components, keeping the Waxman locality flavor.
+// Each bridge starts from the component with the smallest root id and
+// takes its closest outside node: the first pair at the least distance,
+// members in ascending id, then outside nodes in ascending id.
 func (net *Network) patchConnectivity(uf *unionFind, addLink func(i, j int)) {
 	n := len(net.Pos)
+	var members []int // the bridged component, reused across bridges
 	for {
-		roots := make(map[int][]int)
+		minRoot, first, split := n, uf.find(0), false
 		for i := 0; i < n; i++ {
 			r := uf.find(i)
-			roots[r] = append(roots[r], i)
+			minRoot = min(minRoot, r)
+			split = split || r != first
 		}
-		if len(roots) <= 1 {
+		if !split {
 			return
 		}
-		// Take an arbitrary-but-deterministic component (smallest root id)
-		// and connect its closest outside node.
-		minRoot := -1
-		for r := range roots {
-			if minRoot == -1 || r < minRoot {
-				minRoot = r
+		members = members[:0]
+		for i := 0; i < n; i++ {
+			if uf.find(i) == minRoot {
+				members = append(members, i)
 			}
 		}
 		best := math.Inf(1)
 		bi, bj := -1, -1
-		for _, i := range roots[minRoot] {
+		for _, i := range members {
 			for j := 0; j < n; j++ {
 				if uf.find(j) == minRoot {
 					continue

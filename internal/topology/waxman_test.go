@@ -1,8 +1,10 @@
 package topology
 
 import (
+	"errors"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,8 +21,32 @@ func genSmall(t testing.TB, n int, seed int64) *Network {
 }
 
 func TestGenerateRejectsEmpty(t *testing.T) {
-	if _, err := Generate(Config{N: 0}); err == nil {
-		t.Fatal("expected error for N=0")
+	if _, err := Generate(Config{N: 0}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("N=0: error %v, want ErrConfig", err)
+	}
+}
+
+// TestGenerateRejectsBadBandwidth pins the ranges whose links could draw a
+// negative, infinite or NaN bandwidth to an ErrConfig naming the range, in
+// both representations; such a link used to panic the widest-path tree.
+// A degenerate range draws its Min, which may be zero.
+func TestGenerateRejectsBadBandwidth(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range []stats.Range{
+		{Min: -5, Max: -1}, {Min: -0.5, Max: 5}, {Min: nan, Max: nan}, {Min: 1, Max: nan},
+		{Min: nan, Max: 1}, {Min: inf, Max: inf}, {Min: 0, Max: inf}, {Min: -inf, Max: 1},
+	} {
+		for _, compact := range []bool{false, true} {
+			_, err := Generate(Config{N: 21, BandwidthRange: r, Compact: compact})
+			if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "bandwidth range") {
+				t.Errorf("range %+v (compact %v): error %v, want an ErrConfig naming the range", r, compact, err)
+			}
+		}
+	}
+	for _, r := range []stats.Range{{Min: 0, Max: -1}, {Min: 7, Max: 3}, {Min: 0, Max: 1e300}} {
+		if _, err := Generate(Config{N: 21, BandwidthRange: r}); err != nil {
+			t.Errorf("range %+v: %v", r, err)
+		}
 	}
 }
 
@@ -305,18 +331,23 @@ func TestQuickLandmarkLowerBound(t *testing.T) {
 // TestGenerateAllocations pins the dense build's allocation count below a
 // bound that no per-node or per-row allocation fits under: fixed arrays,
 // one adjacency block and one allocation per pair table, plus the link
-// list's amortized growth and patchConnectivity's per-component scratch.
-// Per-node adjacency slices and per-row tables took 1,192 allocations at
-// 150 nodes and 10,785 at 1000.
+// list's amortized growth and patchConnectivity's one growing member
+// list. Per-node adjacency slices and per-row tables took 1,192
+// allocations at 150 nodes and 10,785 at 1000. A 32-node build bridges
+// several components; a map of every component per bridge took 97-212
+// allocations there.
 func TestGenerateAllocations(t *testing.T) {
-	for _, n := range []int{150, 1000, 2000} {
+	for _, c := range []struct {
+		n    int
+		seed int64
+	}{{32, 1}, {32, 2}, {32, 3}, {150, 1}, {1000, 1}, {2000, 1}} {
 		got := testing.AllocsPerRun(1, func() {
-			if _, err := Generate(Config{N: n, Seed: 1}); err != nil {
+			if _, err := Generate(Config{N: c.n, Seed: c.seed}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got > 64 {
-			t.Errorf("n=%d: %v allocations per build, want at most 64", n, got)
+			t.Errorf("n=%d seed %d: %v allocations per build, want at most 64", c.n, c.seed, got)
 		}
 	}
 }
