@@ -12,7 +12,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -207,26 +206,6 @@ func BenchmarkSingleDSMFRun(b *testing.B) {
 		if _, err := experiments.Run(setting, heuristics.NewDSMF()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkShardedDSMFRun measures the sweep-unit simulation with each
-// gossip cycle replayed on K workers (results are bit-identical at every
-// K; see gossip.Config.Workers). The replay only pays off with idle
-// cores: with GOMAXPROCS >= K it measures the speedup, on fewer cores the
-// workers' coordination overhead against BenchmarkSingleDSMFRun.
-func BenchmarkShardedDSMFRun(b *testing.B) {
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				setting := experiments.NewSetting(benchScale, int64(i))
-				setting.Shards = shards
-				if _, err := experiments.Run(setting, heuristics.NewDSMF()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

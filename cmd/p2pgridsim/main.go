@@ -183,8 +183,6 @@ type options struct {
 	cacheBudget int64
 	cacheDays   float64
 
-	shards int
-
 	serve       string
 	pace        float64
 	maxInFlight int
@@ -232,7 +230,6 @@ func (o *options) flags(stderr io.Writer) *flag.FlagSet {
 	fs.BoolVar(&o.cacheGC, "cache-gc", false, "garbage-collect the -cache directory (needs -cache-budget and/or -cache-days) and exit")
 	fs.Int64Var(&o.cacheBudget, "cache-budget", 0, "cache GC size budget in MB, oldest-access entries dropped first (0 = no size bound)")
 	fs.Float64Var(&o.cacheDays, "cache-days", 0, "cache GC max entry age in days (0 = no age bound)")
-	fs.IntVar(&o.shards, "shards", 1, "parallel workers for each gossip cycle of a simulation (bit-identical results at any value); the replay pays only on large grids: on 2 vCPUs, 2 workers ran at 0.93x of serial at 1,000 nodes and 1.50-1.77x faster at 100,000")
 	fs.StringVar(&o.serve, "serve", "", "run as a long-lived scheduler daemon on this address (e.g. :8080) exposing the versioned /v1 HTTP API")
 	fs.Float64Var(&o.pace, "pace", 0, "wall-clock pacing: virtual seconds advanced per wall second (0 = deterministic virtual clock, advanced only via POST /v1/clock/advance)")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 256, "admission bound: submissions beyond this many unfinished workflows are shed with 429 + Retry-After")
@@ -272,7 +269,7 @@ type mode struct {
 // HTTP, a worker its whole configuration from the work directory, and the
 // cache GC runs nothing.
 var modes = []mode{
-	{flag: "serve", run: runServe, reads: "serve scale seed algo shards price pace max-inflight pprof log-level log-format"},
+	{flag: "serve", run: runServe, reads: "serve scale seed algo price pace max-inflight pprof log-level log-format"},
 	{flag: "worker", run: runWorker, reads: "worker cache sleep-per-job log-level log-format"},
 	{flag: "cache-gc", run: runCacheGC, reads: "cache-gc cache cache-budget cache-days"},
 }
@@ -280,15 +277,14 @@ var modes = []mode{
 // sweepModes narrow -experiment sweep. Merging never simulates. A shard
 // runs one job range, so it has no complete cells to export, and adaptive
 // batches need the whole matrix. The work directory fixes the matrix and
-// its replications, and its workers run serial gossip cycles. Shard
-// partials, the cell cache and the work directory carry no distribution
-// blocks, so -obs keeps to the plain path.
+// its replications. Shard partials, the cell cache and the work directory
+// carry no distribution blocks, so -obs keeps to the plain path.
 var sweepModes = []mode{
 	{flag: "merge", reads: common + " merge out artifacts"},
-	{flag: "shard", reads: matrix + " shard out shards cache"},
+	{flag: "shard", reads: matrix + " shard out cache"},
 	{flag: "coordinate", reads: matrix + " coordinate out artifacts cache lease-ttl sleep-per-job log-level log-format"},
-	{flag: "precision", reads: matrix + " precision out artifacts shards cache"},
-	{flag: "obs", reads: matrix + " obs out artifacts shards"},
+	{flag: "precision", reads: matrix + " precision out artifacts cache"},
+	{flag: "obs", reads: matrix + " obs out artifacts"},
 }
 
 // reads reports whether the space-separated flag list names f.
@@ -621,8 +617,8 @@ var experimentTable = []experiment{
 	{name: "table1", inAll: true, reads: common, run: func(o options) error {
 		return o.printTable(experiments.TableI(), nil)
 	}},
-	{name: "single", reads: common + " algo shards arrival sla price trace-out gantt " + traceSrc, run: runSingle},
-	{name: "sweep", reads: matrix + " out artifacts shards cache shard merge coordinate precision obs", run: runSweep},
+	{name: "single", reads: common + " algo arrival sla price trace-out gantt " + traceSrc, run: runSingle},
+	{name: "sweep", reads: matrix + " out artifacts cache shard merge coordinate precision obs", run: runSweep},
 	{name: "fig3", inAll: true, reads: common, run: func(o options) error {
 		fmt.Fprintln(o.stdout, experiments.Fig3Report())
 		return nil
@@ -742,7 +738,6 @@ func runSingle(o options) error {
 	if err != nil {
 		return err
 	}
-	setting.Shards = o.shards
 	var tb *trace.Buffer
 	if o.traceOut != "" || o.gantt {
 		// Ring buffer: a small-scale run emits a few hundred thousand
@@ -871,8 +866,7 @@ func runSweep(o options) error {
 		}
 	}
 	opts := experiments.RunOptions{
-		Shards: o.shards,
-		Obs:    o.obs,
+		Obs: o.obs,
 		Progress: func(done, total int) {
 			if done == total || done*10/total > (done-1)*10/total {
 				fmt.Fprintf(o.stderr, "sweep: %d/%d runs (%d%%)\n", done, total, done*100/total)

@@ -102,6 +102,8 @@ func TestErrorPathsExitNonZero(t *testing.T) {
 		{"cache-gc with sweep flags", 2, []string{"-cache-gc", "-cache", "d", "-cache-days", "1", "-experiment", "sweep", "-reps", "5", "-out", "x.json"}},
 		{"sweep flags on table1", 2, []string{"-experiment", "table1", "-out", "t.json", "-shard", "0/2", "-coordinate", "c"}},
 		{"cache-budget without cache-gc", 2, []string{"-experiment", "fig3", "-cache-budget", "5"}},
+		{"shards on single", 2, []string{"-experiment", "single", "-scale", "tiny", "-shards", "2"}},
+		{"shards on serve", 2, []string{"-serve", ":0", "-shards", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

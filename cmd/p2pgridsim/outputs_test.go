@@ -70,37 +70,6 @@ func TestExperimentOutputs(t *testing.T) {
 	}
 }
 
-// TestShardCountInvariantOutput checks end to end that the event-engine
-// shard count is a pure execution detail: a single run prints the same
-// stdout at -shards 1, 2 and 4, and a -shards 4 sweep writes the serial
-// sweep's JSON byte for byte.
-func TestShardCountInvariantOutput(t *testing.T) {
-	var serial string
-	for _, shards := range []string{"1", "2", "4"} {
-		code, stdout, stderr := runCLI("-experiment", "single", "-scale", "tiny", "-shards", shards)
-		if code != 0 {
-			t.Fatalf("-shards %s: exit %d, stderr:\n%s", shards, code, stderr)
-		}
-		if shards == "1" {
-			serial = stdout
-		} else if stdout != serial {
-			t.Errorf("-shards %s single-run output differs from serial:\n%s\nvs\n%s", shards, stdout, serial)
-		}
-	}
-	sweep := []string{"-experiment", "sweep", "-scale", "tiny", "-reps", "2"}
-	code, serialJSON, stderr := runCLI(sweep...)
-	if code != 0 {
-		t.Fatalf("serial sweep: exit %d, stderr:\n%s", code, stderr)
-	}
-	code, shardedJSON, stderr := runCLI(append(sweep, "-shards", "4")...)
-	if code != 0 {
-		t.Fatalf("-shards 4 sweep: exit %d, stderr:\n%s", code, stderr)
-	}
-	if shardedJSON != serialJSON {
-		t.Fatal("-shards 4 sweep JSON differs from the serial sweep's")
-	}
-}
-
 // TestDocsNameEveryExperiment keeps the package doc's experiment list and
 // the README's in step with the dispatch table, in both directions.
 func TestDocsNameEveryExperiment(t *testing.T) {

@@ -17,7 +17,7 @@ var validValue = map[string]string{
 	"sleep-per-job": "1ms", "lease-ttl": "5s", "cache": "d", "precision": "0.1",
 	"arrival": "poisson:10", "sla": "deadline:2", "price": "1",
 	"trace": "sample", "trace-scale": "0.5", "model": "m.json", "synth": "10",
-	"cache-gc": "true", "cache-budget": "5", "cache-days": "1", "shards": "2",
+	"cache-gc": "true", "cache-budget": "5", "cache-days": "1",
 	"serve": ":0", "pace": "3", "max-inflight": "8", "artifacts": "arts",
 	"cpuprofile": "cpu.prof", "memprofile": "mem.prof", "trace-out": "t.json",
 	"gantt": "true", "obs": "true", "log-level": "debug", "log-format": "json",

@@ -37,7 +37,6 @@ func runServe(o options) error {
 		Scale:       o.scale,
 		Algo:        o.algo,
 		Seed:        o.seed,
-		Shards:      o.shards,
 		MaxInFlight: o.maxInFlight,
 		Pace:        o.pace,
 		Price:       price,

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/stats"
+	"repro/internal/workload"
 	"repro/internal/workload/arrival"
 	"repro/internal/workload/loadspec"
 	"repro/internal/workload/mining"
@@ -222,14 +223,10 @@ func run(o genOptions, stdout io.Writer) error {
 			return err
 		}
 		if o.format == "schedule" && tr != nil {
-			// Mirror the simulator's replay scaling rule (workload.Generate):
-			// total task load = runtime x procs x reference MIPS, so the
+			// The simulator's replay scaling rule, priced at -mips, so the
 			// printed load/eft columns describe what a replay actually runs.
-			job := tr.Jobs[i%len(tr.Jobs)]
-			if total := w.TotalLoad(); total > 0 {
-				if w, err = w.ScaleLoads(job.CPUSeconds() * o.mips / total); err != nil {
-					return err
-				}
+			if w, err = workload.ScaleToTraceJob(w, tr.Jobs[i%len(tr.Jobs)].CPUSeconds(), o.mips); err != nil {
+				return err
 			}
 		}
 		switch o.format {

@@ -96,11 +96,9 @@ type Setting struct {
 	RescheduleFailed bool
 	Harsh            bool // maximal-loss churn semantics (HarshChurn)
 
-	// Shards spreads each gossip cycle over this many workers (values > 1
-	// build the engine with sim.NewSharded; the grid passes its shard count
-	// to gossip.Config.Workers). Purely an execution detail - every shard
-	// count yields bit-identical results - so it is excluded from
-	// serialized artifacts and cache identities.
+	// Shards is ignored: every run has one serial engine.
+	//
+	// Deprecated: nothing reads it.
 	Shards int `json:"-"`
 
 	// Tap, when non-nil, receives the run's event stream (grid.Config.Tap):
@@ -164,21 +162,16 @@ type Result struct {
 }
 
 // BuildGrid assembles the simulated system of a setting: its topology,
-// the engine (the gossip replay on setting.Shards workers), the grid
-// running algo, and its economy (node prices and SLA contracts). Nothing
-// has been submitted and the grid has not started. Run adds the workload,
-// the collector and churn; the daemon takes its workloads over HTTP.
+// the engine, the grid running algo, and its economy (node prices and SLA
+// contracts). Nothing has been submitted and the grid has not started.
+// Run adds the workload, the collector and churn; the daemon takes its
+// workloads over HTTP.
 func BuildGrid(setting Setting, algo grid.Algorithm) (sim.Driver, *grid.Grid, error) {
 	net, err := setting.BuildNet()
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: topology: %w", err)
 	}
-	var engine sim.Driver
-	if setting.Shards > 1 {
-		engine = sim.NewSharded(setting.Shards, net.N())
-	} else {
-		engine = sim.NewEngine()
-	}
+	engine := sim.NewEngine()
 	g, err := grid.New(engine, grid.Config{
 		Net:                net,
 		Seed:               setting.Seed,

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/grid"
 	"repro/internal/heuristics"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -65,8 +64,7 @@ func ChurnModelAblation(scale Scale, seed int64, df float64) (Table, error) {
 // per-family ACT/AE - a library-level scenario study.
 func FamilyComparison(scale Scale, seed int64) (Table, error) {
 	setting := NewSetting(scale, seed)
-	net, err := setting.BuildNet()
-	if err != nil {
+	if _, err := setting.BuildNet(); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -74,8 +72,7 @@ func FamilyComparison(scale Scale, seed int64) (Table, error) {
 		Header: []string{"family", "workflows", "completed", "ACT(s)", "AE", "depth", "parallelism"},
 	}
 	for _, fam := range dag.Families() {
-		engine := sim.NewEngine()
-		g, err := grid.New(engine, grid.Config{Net: net, Seed: seed}, heuristics.NewDSMF())
+		engine, g, err := BuildGrid(setting, heuristics.NewDSMF())
 		if err != nil {
 			return Table{}, err
 		}

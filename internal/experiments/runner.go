@@ -65,10 +65,9 @@ type RunOptions struct {
 	// replication count.
 	RetainRuns bool
 
-	// Shards spreads every simulation's gossip cycle over this many
-	// workers (values <= 1: serial). Results and artifacts are
-	// bit-identical across shard counts, so Shards is not part of any
-	// cache key or spec hash.
+	// Shards is ignored: every simulation runs one serial gossip cycle.
+	//
+	// Deprecated: nothing reads it.
 	Shards int
 
 	// Obs collects the virtual-time latency histograms of every
@@ -319,7 +318,6 @@ func (st *sweepState) executeSweepJob(j SweepJob, pn *pairNet) (metrics.RunStats
 		return metrics.RunStats{}, Result{}, nil, err // unreachable after validate; belt and braces
 	}
 	setting := sc.setting(j.Seed, pn.net, st.plan.spec.Reschedule)
-	setting.Shards = st.opts.Shards
 	var gm *obs.GridMetrics
 	if st.opts.Obs {
 		gm = obs.NewGridMetrics()

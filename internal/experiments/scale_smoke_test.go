@@ -8,26 +8,26 @@ import (
 // TestHundredThousandNodeShortRun is the large-grid acceptance smoke: a
 // 100k-node topology (the compact struct-of-arrays representation - a
 // dense matrix pair at this size would need ~150 GB) must construct, run
-// a short simulation with a 4-worker gossip replay end to end, and produce
-// a sane final sample.
-// Three full gossip cycles over 100k caches took 6.9 s on a 2-vCPU Xeon
-// @ 2.10GHz with a 179 MB peak resident set, so the test only runs when
-// asked for explicitly (the CI large-grid job sets the variable).
+// a short simulation end to end, and produce a sane final sample.
+// Three full gossip cycles over 100k caches took 5.4-5.7 s (3 runs) with a
+// 155 MB peak resident set on a 2-vCPU Xeon @ 2.10GHz, so the test only
+// runs when asked for explicitly (the CI large-grid job sets the
+// variable).
 func TestHundredThousandNodeShortRun(t *testing.T) {
-	largeShortRun(t, 100_000, 4)
+	largeShortRun(t, 100_000)
 }
 
-// TestMillionNodeShortRun is the same setting at 10⁶ nodes, run serially.
-// It took about 3 minutes and a 1.5 GB peak resident set on the same host,
-// so no CI job runs it; README "Memory at large N" records its figures.
+// TestMillionNodeShortRun is the same setting at 10⁶ nodes. It took about
+// 3 minutes and a 1.5 GB peak resident set on the same host, so no CI job
+// runs it; README "Memory at large N" records its figures.
 func TestMillionNodeShortRun(t *testing.T) {
-	largeShortRun(t, 1_000_000, 1)
+	largeShortRun(t, 1_000_000)
 }
 
 // largeShortRun runs DSMF for 15 simulated minutes (gossip cycles at 0,
 // 300, 600 and 900 s) on a grid of the given size with one workflow on
-// each of 64 homes, the gossip cycle replayed on the given worker count.
-func largeShortRun(t *testing.T, nodes, shards int) {
+// each of 64 homes.
+func largeShortRun(t *testing.T, nodes int) {
 	if os.Getenv("P2PGRID_LARGE") == "" {
 		t.Skipf("set P2PGRID_LARGE=1 to run the %d-node smoke", nodes)
 	}
@@ -40,7 +40,6 @@ func largeShortRun(t *testing.T, nodes, shards int) {
 	}
 	setting := NewSetting(scale, 42)
 	setting.Homes = 64 // the grid is huge, the workload need not be
-	setting.Shards = shards
 	res, err := SingleRunWith(setting, "DSMF")
 	if err != nil {
 		t.Fatal(err)

@@ -66,8 +66,18 @@ func tapRun(t *testing.T, setting Setting, algo string) eventStream {
 	}
 }
 
-// churnSetting is the churn scenario of the shard tests: a fifth of the
-// nodes dynamic, the stable half the only homes.
+// ScaleByNameMust is a test helper around ScaleByName.
+func ScaleByNameMust(t *testing.T, name string) Scale {
+	t.Helper()
+	sc, err := ScaleByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// churnSetting is the churn scenario of the stream digests: a fifth of
+// the nodes dynamic, the stable half the only homes.
 func churnSetting(t *testing.T, seed int64) Setting {
 	tiny := ScaleByNameMust(t, "tiny")
 	s := NewSetting(tiny, seed)

@@ -110,13 +110,6 @@ type Config struct {
 	ExpiryCycles  float64 // drop records older than this many cycles, default 4
 	EpochCycles   int     // aggregation restart period, default 8
 	Seed          int64
-
-	// Workers spreads each cycle's push work over this many goroutines
-	// using the deterministic dependency-ordered executor in parallel.go.
-	// Values <= 1 keep the fully serial loop. Every worker count produces
-	// bit-identical caches, estimates and traffic counters: the parallel
-	// path replays the exact serial per-node operation order.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -198,8 +191,7 @@ type idleMemo struct {
 
 // Clock is the engine surface the protocol needs: the simulated time and
 // periodic scheduling. sim.Engine satisfies it. A gossip cycle is one
-// event; its internal parallelism is the protocol's own (see
-// Config.Workers), sized from the engine's shard count by the grid.
+// event.
 type Clock interface {
 	Now() float64
 	Every(start, period float64, fn sim.Event) *sim.Ticker
@@ -232,8 +224,8 @@ type Protocol struct {
 	version   []uint32   // bumped on every cache[i] mutation
 	idle      []idleMemo // per-node IdleKnown memo
 	sampleBuf []int      // reused by the cycle's neighbor draws
-	inbox     inbox      // the serial cycle's pending pushes
-	merge     merger     // the serial cycle's merge scratch
+	inbox     inbox      // the cycle's pending pushes
+	merge     merger     // the cycle's merge scratch
 
 	// Aggregation state (push-pull averaging with epoch restarts).
 	estCap     []float64 // in-progress capacity estimate
@@ -241,11 +233,6 @@ type Protocol struct {
 	reportCap  []float64 // last converged (previous epoch) values
 	reportBW   []float64
 	cycleCount int
-
-	// par holds the parallel-cycle executor's reusable state (op lists,
-	// progress counters, per-worker scratch); nil until the first parallel
-	// cycle. See parallel.go.
-	par *parallelCycle
 
 	// MessagesSent counts epidemic pushes plus aggregation exchanges, and
 	// BytesSent the corresponding traffic under the paper's cost model
@@ -298,7 +285,7 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		p.cache[i] = backing[i*stride : i*stride : (i+1)*stride]
 	}
 	p.inbox = newInbox(cfg.N, cfg.slotsPerSender())
-	p.merge = newMerger(cfg.N, cfg.N, stride)
+	p.merge = newMerger(cfg.N, stride)
 	for i := 0; i < cfg.N; i++ {
 		s := local.Snapshot(i)
 		p.capacity[i] = s.Capacity
@@ -356,10 +343,6 @@ func (p *Protocol) cycle(now float64) {
 	}
 	mint := p.mint(now)
 	live := p.liveKey(now)
-	if p.cfg.Workers > 1 {
-		p.cycleParallel(mint, live)
-		return
-	}
 	for i := 0; i < p.cfg.N; i++ {
 		s := p.local.Snapshot(i)
 		if !s.Alive {
@@ -369,7 +352,7 @@ func (p *Protocol) cycle(now float64) {
 		// and push to fan-out random targets. A push is counted when it is
 		// made; its records reach the target at the target's next merge.
 		if nodes := p.inbox.take(i); nodes != nil {
-			p.deliver(nodes, live, &p.merge)
+			p.deliver(nodes, live)
 		}
 		p.mergeOwn(i, record{key: packKey(mint, i, p.cfg.TTL), load: s.TotalLoadMI})
 		bytes := uint64(p.fwd[i]) * MessageBytes
@@ -400,7 +383,7 @@ func (p *Protocol) cycle(now float64) {
 	// a receiver before it still reads what it pushed.
 	for t := 0; t < p.cfg.N; t++ {
 		if nodes := p.inbox.take(t); nodes != nil {
-			p.deliver(nodes, live, &p.merge)
+			p.deliver(nodes, live)
 		}
 	}
 }
@@ -449,32 +432,26 @@ func (in *inbox) take(to int) []int32 {
 	return nodes
 }
 
-// merger is one deliverer's reusable state: a spare cache slot the merge
-// writes into before it trades places with the receiver's cache, what is
-// left of each merge list and its head's key, and per-origin stamps
-// marking the origins the current merge has placed. The replay's workers
-// each write their own merger at every merge step, so its fields and
-// per-list arrays never share a cache line with another merger's.
+// merger is the cycle's reusable merge state: a spare cache slot the
+// merge writes into before it trades places with the receiver's cache,
+// what is left of each merge list and its head's key, and per-origin
+// stamps marking the origins the current merge has placed.
 type merger struct {
 	spare []record
 	rest  [][]record
 	keys  []uint64
 	seen  []uint32
 	seq   uint32
-	_     [cacheLine]byte
 }
 
-// cacheLine is the cache line size in bytes on common hardware.
-const cacheLine = 64
-
-// newMerger sizes a merger for n origins, merges of up to lists lists and
-// caches of capacity stride. The per-list arrays take whole cache lines.
-func newMerger(n, lists, stride int) merger {
-	lists = (lists + 7) &^ 7 // 8 keys fill one line, 8 slices three
+// newMerger sizes a merger for n nodes, whose merges take up to n lists
+// (a receiver and every other node as a sender), and caches of capacity
+// stride.
+func newMerger(n, stride int) merger {
 	return merger{
 		spare: make([]record, 0, stride),
-		rest:  make([][]record, lists),
-		keys:  make([]uint64, lists),
+		rest:  make([][]record, n),
+		keys:  make([]uint64, n),
 		seen:  make([]uint32, n),
 	}
 }
@@ -508,9 +485,10 @@ func head(recs []record, live, hop uint64) ([]record, uint64) {
 // merged view, and stops there: everything after is what evicting the
 // stalest records, ties to the lower origin, would drop. If the owner's
 // record is then still pending, its first copy in merge order is appended;
-// it sorts after everything placed. The merge writes into m.spare, which
-// then trades places with the receiver's cache.
-func (p *Protocol) deliver(nodes []int32, live uint64, m *merger) {
+// it sorts after everything placed. The merge writes into p.merge.spare,
+// which then trades places with the receiver's cache.
+func (p *Protocol) deliver(nodes []int32, live uint64) {
+	m := &p.merge
 	to := int(nodes[0])
 	recs := p.cache[to]
 	rest, keys := m.rest[:len(nodes)], m.keys[:len(nodes)]

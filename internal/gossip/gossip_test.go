@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -68,6 +70,230 @@ func startProtocol(t testing.TB, n int, seed int64) (*sim.Engine, *fakeGrid, *Pr
 	}
 	p.Start(0)
 	return engine, grid, p
+}
+
+// protoState is everything a cycle leaves behind that two schedules of
+// the same pushes must agree on: every cache with its fwd and ownMint
+// bookkeeping and key bounds, the aggregation estimates and reports, and
+// the traffic counters. Version counters are left out: they count merges,
+// which batching changes.
+type protoState struct {
+	Cache               [][]record
+	Fwd                 []int32
+	OwnMint             []uint32
+	Newest              []uint64
+	EstCap, EstBW       []float64
+	ReportCap, ReportBW []float64
+	Messages, Bytes     uint64
+}
+
+// snapshot copies p's protoState.
+func snapshot(p *Protocol) protoState {
+	s := protoState{
+		Fwd: slices.Clone(p.fwd), OwnMint: slices.Clone(p.ownMint), Newest: slices.Clone(p.newest),
+		EstCap: slices.Clone(p.estCap), EstBW: slices.Clone(p.estBW),
+		ReportCap: slices.Clone(p.reportCap), ReportBW: slices.Clone(p.reportBW),
+		Messages: p.MessagesSent, Bytes: p.BytesSent,
+	}
+	for _, c := range p.cache {
+		s.Cache = append(s.Cache, slices.Clone(c))
+	}
+	return s
+}
+
+// runCycles drives a fresh protocol for the given number of cycles over a
+// churning fakeGrid, checks the cache invariants after each cycle and
+// returns the protocol's state after each. The churn and load schedule is
+// a pure function of the cycle index, so every run sees the same inputs.
+// cycle runs each gossip cycle in place of the protocol's own, or nil for
+// the protocol's own.
+func runCycles(t *testing.T, n, cycles int, seed int64, cycle func(p *Protocol, now float64)) []protoState {
+	t.Helper()
+	engine := sim.NewEngine()
+	grid := newFakeGrid(n, seed)
+	p, err := New(engine, Config{N: n, Seed: seed, EpochCycles: 3}, grid)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if cycle == nil {
+		p.Start(0)
+	} else {
+		engine.Every(0, p.cfg.CycleSeconds, func(now float64) { cycle(p, now) })
+	}
+	var states []protoState
+	for c := 0; c < cycles; c++ {
+		// Deterministic churn and load drift between cycles: kill and
+		// revive a few nodes, wiggle loads, so dead-target skips and
+		// expiry paths are exercised.
+		grid.alive[(c*7)%n] = false
+		grid.alive[(c*13+5)%n] = false
+		if c > 0 {
+			grid.alive[((c-1)*7)%n] = true
+		}
+		for i := range grid.loads {
+			grid.loads[i] = float64((i*31 + c*17) % 97)
+		}
+		engine.RunUntil(float64(c) * p.cfg.CycleSeconds)
+		checkCacheInvariants(t, p, c)
+		states = append(states, snapshot(p))
+	}
+	return states
+}
+
+// checkCacheInvariants asserts that every cache is strictly decreasing by
+// key - eviction order, no duplicate origins - holds at most CacheCapacity
+// records plus the owner's own, mints at least 1, and that its fwd and
+// ownMint bookkeeping matches a recount.
+func checkCacheInvariants(t *testing.T, p *Protocol, cycle int) {
+	t.Helper()
+	for i, recs := range p.cache {
+		if len(recs) > p.cfg.CacheCapacity+1 {
+			t.Fatalf("cycle %d: node %d holds %d records, capacity %d+1",
+				cycle, i, len(recs), p.cfg.CacheCapacity)
+		}
+		for j := range recs {
+			if recs[j].mint() == 0 {
+				t.Fatalf("cycle %d: node %d record %d has mint 0: %+v", cycle, i, j, recs[j])
+			}
+			if j > 0 && recs[j-1].key <= recs[j].key {
+				t.Fatalf("cycle %d: node %d cache not in eviction order at %d: %+v then %+v",
+					cycle, i, j, recs[j-1], recs[j])
+			}
+		}
+		if fwd, ownMint := recount(i, recs); p.fwd[i] != fwd || p.ownMint[i] != ownMint {
+			t.Fatalf("cycle %d: node %d fwd %d ownMint %d, recomputed %d %d",
+				cycle, i, p.fwd[i], p.ownMint[i], fwd, ownMint)
+		}
+	}
+}
+
+// perPushCycle returns the gossip cycle with every push delivered the
+// moment it is made, by push(p, to, from, live, now), which returns the
+// bytes the push carried. It draws in the cycle's order - per alive node,
+// its fan-out targets, then its aggregation partner - so it must leave
+// every cache, estimate and counter as the cycle's per-receiver batches
+// do.
+func perPushCycle(push func(p *Protocol, to, from int, live uint64, now float64) uint64) func(*Protocol, float64) {
+	return func(p *Protocol, now float64) {
+		p.cycleCount++
+		if p.cycleCount%p.cfg.EpochCycles == 1 || p.cfg.EpochCycles == 1 {
+			for i := 0; i < p.cfg.N; i++ {
+				s := p.local.Snapshot(i)
+				if !s.Alive {
+					continue
+				}
+				p.reportCap[i], p.reportBW[i] = p.estCap[i], p.estBW[i]
+				p.estCap[i], p.estBW[i] = p.capacity[i], s.AvgBandwidthObs
+			}
+		}
+		mint := p.mint(now)
+		live := p.liveKey(now)
+		for i := 0; i < p.cfg.N; i++ {
+			s := p.local.Snapshot(i)
+			if !s.Alive {
+				continue
+			}
+			p.mergeOwn(i, record{key: packKey(mint, i, p.cfg.TTL), load: s.TotalLoadMI})
+			for _, t := range stats.SampleWithoutInto(p.rng, p.cfg.N, p.cfg.FanOut, i, p.sampleBuf) {
+				if !p.local.Snapshot(t).Alive {
+					continue
+				}
+				p.MessagesSent++
+				p.BytesSent += push(p, t, i, live, now)
+			}
+			partner := stats.SampleWithoutInto(p.rng, p.cfg.N, 1, i, p.sampleBuf)
+			if len(partner) == 1 && p.local.Snapshot(partner[0]).Alive {
+				j := partner[0]
+				avgC := (p.estCap[i] + p.estCap[j]) / 2
+				avgB := (p.estBW[i] + p.estBW[j]) / 2
+				p.estCap[i], p.estCap[j] = avgC, avgC
+				p.estBW[i], p.estBW[j] = avgB, avgB
+				p.MessagesSent++
+				p.BytesSent += 2 * MessageBytes
+			}
+		}
+	}
+}
+
+// deliverOne delivers one push through deliver with a single sender.
+func deliverOne(p *Protocol, to, from int, live uint64, _ float64) uint64 {
+	bytes := uint64(p.fwd[from]) * MessageBytes
+	p.deliver([]int32{int32(to), int32(from)}, live)
+	return bytes
+}
+
+// referencePush delivers one push through pushReference, the origin-order
+// oracle, on the unpacked caches, and packs the result back in eviction
+// order with a recounted fwd and ownMint. The traffic is the oracle's.
+func referencePush(p *Protocol, to, from int, _ uint64, now float64) uint64 {
+	unpack := func(node int) []StateRecord {
+		var recs []StateRecord
+		for _, r := range p.cache[node] {
+			recs = append(recs, p.stateRecord(r))
+		}
+		sortOrigin(recs)
+		return recs
+	}
+	recs, bytes := pushReference(unpack(from), unpack(to), to, p.cfg.CacheCapacity, now, p.expirySeconds())
+	c := p.cache[to][:0]
+	for _, r := range recs {
+		mint := 1 + slices.Index(p.mints[1:], r.Timestamp)
+		c = append(c, record{key: packKey(uint32(mint), r.Node, r.TTL), load: r.TotalLoadMI})
+	}
+	sortEviction(c)
+	p.cache[to] = c
+	p.fwd[to], p.ownMint[to] = recount(to, c)
+	p.version[to]++
+	return bytes
+}
+
+// TestCycleMatchesPerPushReference pins per-receiver batching: a cycle
+// that delivers every push the moment it is made, through deliver with one
+// sender or through the origin-order pushReference, leaves every cache,
+// its bookkeeping, the estimates, the reports and the traffic counters
+// bit for bit as the batched cycle does, after every cycle of a churning
+// run.
+func TestCycleMatchesPerPushReference(t *testing.T) {
+	for _, tc := range []struct {
+		n, cycles int
+		seed      int64
+	}{{120, 8, 42}, {6, 8, 7}} {
+		batched := runCycles(t, tc.n, tc.cycles, tc.seed, nil)
+		for _, ref := range []struct {
+			name string
+			push func(*Protocol, int, int, uint64, float64) uint64
+		}{{"deliver", deliverOne}, {"pushReference", referencePush}} {
+			got := runCycles(t, tc.n, tc.cycles, tc.seed, perPushCycle(ref.push))
+			for c := range batched {
+				if !reflect.DeepEqual(got[c], batched[c]) {
+					t.Fatalf("n=%d cycle %d: per-push %s state differs from the batched cycle's:\n%s",
+						tc.n, c, ref.name, stateDiff(got[c], batched[c]))
+				}
+			}
+		}
+	}
+}
+
+// stateDiff names the first field, and for per-node fields the first node,
+// where two states differ.
+func stateDiff(a, b protoState) string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for f := 0; f < va.NumField(); f++ {
+		fa, fb := va.Field(f), vb.Field(f)
+		if reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+			continue
+		}
+		name := va.Type().Field(f).Name
+		if fa.Kind() != reflect.Slice {
+			return fmt.Sprintf("%s: %v, want %v", name, fa.Interface(), fb.Interface())
+		}
+		for i := 0; i < fa.Len(); i++ {
+			if !reflect.DeepEqual(fa.Index(i).Interface(), fb.Index(i).Interface()) {
+				return fmt.Sprintf("%s[%d]: %+v, want %+v", name, i, fa.Index(i).Interface(), fb.Index(i).Interface())
+			}
+		}
+	}
+	return "no difference"
 }
 
 func TestNewValidatesInputs(t *testing.T) {

@@ -109,15 +109,15 @@ const (
 )
 
 // pushHarness is a protocol from New whose caches a test installs
-// directly, plus one merger reused across trials, as a cycle reuses its
-// own. mints0 is the length of New's mint table, before any cycle minted.
+// directly; its merger is reused across trials, as across a cycle's
+// merges. mints0 is the length of New's mint table, before any cycle
+// minted.
 // checks counts the merges checked; every other one bounds the origins'
 // keys as loosely as it can, so the merge scans the senders for the
 // owner's record whenever the receiver is full before reaching it.
 type pushHarness struct {
 	p      *Protocol
 	mints0 int
-	merge  merger
 	checks int
 }
 
@@ -129,7 +129,7 @@ func newPushHarness() *pushHarness {
 	if p.expirySeconds() != pushExpiry {
 		panic("push harness: expiry is not the default")
 	}
-	return &pushHarness{p: p, mints0: len(p.mints), merge: newMerger(pushNodes, maxSenders+1, maxPushCap+1)}
+	return &pushHarness{p: p, mints0: len(p.mints)}
 }
 
 // stamp rebuilds the mint table from the trial's mint times, in increasing
@@ -255,7 +255,7 @@ func (h *pushHarness) check(t *testing.T, what string, d delivery) []StateRecord
 		}
 	}
 	version := p.version[d.to]
-	p.deliver(nodes, p.liveKey(pushNow), &h.merge)
+	p.deliver(nodes, p.liveKey(pushNow))
 
 	checkEvictionOrder(t, what, p.cache[d.to])
 	got := make([]StateRecord, 0, len(p.cache[d.to]))
@@ -431,7 +431,7 @@ func TestPushMatchesReference(t *testing.T) {
 	for _, f := range stampFamilies(rng) {
 		for trial := 0; trial < 5000; trial++ {
 			if trial == 2500 {
-				h.merge.seq = math.MaxUint32 - 3 // wrap the origin stamps mid-family
+				h.p.merge.seq = math.MaxUint32 - 3 // wrap the origin stamps mid-family
 			}
 			h.check(t, f.name, drawDelivery(rng, f.stamp, trial%ownerCases, 1))
 		}
@@ -447,7 +447,7 @@ func TestDeliverMatchesReference(t *testing.T) {
 	for _, f := range stampFamilies(rng) {
 		for trial := 0; trial < 3000; trial++ {
 			if trial == 1500 {
-				h.merge.seq = math.MaxUint32 - 3
+				h.p.merge.seq = math.MaxUint32 - 3
 			}
 			k := 1 + trial%maxSenders
 			h.check(t, f.name, drawDelivery(rng, f.stamp, trial/maxSenders%ownerCases, k))

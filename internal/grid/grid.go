@@ -271,12 +271,6 @@ func New(engine sim.Host, cfg Config, algo Algorithm) (*Grid, error) {
 	if gc.Seed == 0 {
 		gc.Seed = stats.SplitSeed(cfg.Seed, 0x17)
 	}
-	if gc.Workers == 0 {
-		// The engine's shard count is how much parallelism the run wants;
-		// spread the gossip cycle (the dominant event) over as many
-		// workers. Bit-identical either way, see gossip.Config.Workers.
-		gc.Workers = engine.Shards()
-	}
 	proto, err := gossip.New(engine, gc, (*localState)(g))
 	if err != nil {
 		return nil, fmt.Errorf("grid: gossip: %w", err)

@@ -109,26 +109,6 @@ func TestAlgorithmValidation(t *testing.T) {
 	}
 }
 
-// TestShardsSetGossipWorkers pins the one thing a shard count does: it
-// spreads the gossip cycle over that many workers. Every invariance test
-// would still pass if the count silently stopped reaching the protocol.
-func TestShardsSetGossipWorkers(t *testing.T) {
-	const n = 8
-	for _, k := range []int{1, 2, 4} {
-		g, err := New(sim.NewSharded(k, n), Config{Nodes: n, Seed: 3}, testAlgo())
-		if err != nil {
-			t.Fatalf("New(shards=%d): %v", k, err)
-		}
-		if got := g.Gossip.Config().Workers; got != k {
-			t.Fatalf("shards=%d: gossip workers = %d, want %d", k, got, k)
-		}
-	}
-	_, g := newTestGrid(t, n, 3)
-	if got := g.Gossip.Config().Workers; got != 1 {
-		t.Fatalf("serial engine: gossip workers = %d, want 1", got)
-	}
-}
-
 func TestSubmitValidation(t *testing.T) {
 	_, g := newTestGrid(t, 3, 1)
 	w := chainWorkflow(t, 2)

@@ -84,8 +84,9 @@ type Config struct {
 	// Seed is the root seed for topology, capacities and generated
 	// workloads (default 2010).
 	Seed int64
-	// Shards > 1 spreads each gossip cycle over that many workers
-	// (bit-identical results at any value).
+	// Shards is ignored: the daemon's grid runs one serial gossip cycle.
+	//
+	// Deprecated: nothing reads it.
 	Shards int
 	// MaxInFlight bounds admitted-but-unfinished workflows; submissions
 	// over the bound are rejected with ErrOverloaded. Default 256.
@@ -94,9 +95,6 @@ type Config struct {
 	// virtual clock by Pace virtual seconds per wall second. 0 selects
 	// virtual mode, where the clock moves only through AdvanceTo/Drain.
 	Pace float64
-	// RefMIPS is the trace-replay scaling reference (0: the paper's
-	// average capacity).
-	RefMIPS float64
 	// DrainHorizonSeconds caps how much virtual time Drain may burn
 	// waiting for in-flight workflows (default 90 virtual days).
 	DrainHorizonSeconds float64
@@ -187,7 +185,6 @@ func New(cfg Config) (*Service, error) {
 	// The batch runs' assembly, so a daemon and a batch run at one seed
 	// build the same grid and price its nodes identically.
 	setting := experiments.NewSetting(cfg.Scale, cfg.Seed)
-	setting.Shards = cfg.Shards
 	setting.Price = cfg.Price
 	setting.Tap = grid.Taps{grid.TraceTap{Buf: tb}, gm}
 	eng, g, err := experiments.BuildGrid(setting, algo)
@@ -210,7 +207,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.log.Info("service started",
 		"scale", cfg.Scale.Name, "nodes", len(g.Nodes), "algo", cfg.Algo,
-		"seed", cfg.Seed, "shards", cfg.Shards, "clock", s.Clock(),
+		"seed", cfg.Seed, "clock", s.Clock(),
 		"max_in_flight", cfg.MaxInFlight, "priced", g.PricingEnabled())
 	return s, nil
 }
@@ -382,16 +379,9 @@ func (s *Service) buildWorkflow(req wire.SubmitRequest, id int) (*dag.Workflow, 
 		if err != nil {
 			return nil, err
 		}
-		ref := s.cfg.RefMIPS
-		if ref == 0 {
-			ref = dag.PaperAvgCapacityMIPS
-		}
-		targetMI := req.Trace.RuntimeSeconds * float64(req.Trace.Procs) * ref
-		if total := w.TotalLoad(); total > 0 {
-			w, err = w.ScaleLoads(targetMI / total)
-			if err != nil {
-				return nil, fmt.Errorf("service: trace job: %w", err)
-			}
+		cpuSeconds := req.Trace.RuntimeSeconds * float64(req.Trace.Procs)
+		if w, err = workload.ScaleToTraceJob(w, cpuSeconds, dag.PaperAvgCapacityMIPS); err != nil {
+			return nil, fmt.Errorf("service: trace job: %w", err)
 		}
 		return w, nil
 	case req.Gen != nil:
@@ -643,11 +633,10 @@ func (s *Service) replaySubmissions(sp loadspec.Spec, seed int64, count int) ([]
 	n := len(s.g.Nodes)
 	if sp.Trace != nil {
 		subs, err := workload.Generate(workload.Config{
-			Nodes:   n,
-			Gen:     dag.DefaultGenConfig(),
-			Seed:    seed,
-			Trace:   sp.Trace.Jobs,
-			RefMIPS: s.cfg.RefMIPS,
+			Nodes: n,
+			Gen:   dag.DefaultGenConfig(),
+			Seed:  seed,
+			Trace: sp.Trace.Jobs,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("service: replay: %w", err)

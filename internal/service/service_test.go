@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -91,9 +92,21 @@ func TestSubmitSourcesExclusive(t *testing.T) {
 	if resp.Tasks != 2 {
 		t.Fatalf("explicit workflow: %d tasks, want 2", resp.Tasks)
 	}
-	// Trace-derived: total load = runtime x procs x ref MIPS.
-	if _, err := s.Submit(SubmitRequest{Trace: &TraceRequest{RuntimeSeconds: 3600, Procs: 4}}); err != nil {
-		t.Fatalf("trace submit: %v", err)
+}
+
+// TestTraceSubmitScaling pins a trace job's size to the replay scaling
+// rule: its workflow's total load is runtime x procs x 6.2 MI.
+func TestTraceSubmitScaling(t *testing.T) {
+	s := newTiny(t, nil)
+	for _, tr := range []TraceRequest{{RuntimeSeconds: 3600, Procs: 4}, {RuntimeSeconds: 12.5, Procs: 1}} {
+		resp, err := s.Submit(SubmitRequest{Trace: &tr})
+		if err != nil {
+			t.Fatalf("trace submit %+v: %v", tr, err)
+		}
+		want := tr.RuntimeSeconds * float64(tr.Procs) * 6.2
+		if got := s.g.Workflows[resp.ID].W.TotalLoad(); math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("trace job %+v: total load %v MI, want %v", tr, got, want)
+		}
 	}
 }
 

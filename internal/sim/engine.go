@@ -4,10 +4,7 @@
 // (a monotone sequence number breaks ties), which makes every run with the
 // same seed bit-for-bit reproducible.
 //
-// Engine is a serial event loop: one queue, one goroutine, one clock. Its
-// shard count (NewSharded) schedules nothing in parallel; the grid passes it
-// to the gossip protocol, which replays each cycle on that many workers
-// with bit-identical results (see gossip.Config.Workers).
+// Engine is a serial event loop: one queue, one goroutine, one clock.
 package sim
 
 import (
@@ -86,19 +83,17 @@ type Engine struct {
 	queue   eventQueue
 	free    []*queuedEvent // drained events awaiting reuse by At
 	stopped bool
-	shards  int // reported by Shards; sets the gossip cycle's workers
 	// Processed counts fired (non-cancelled) events, for tests and tracing.
 	Processed uint64
 }
 
-// NewEngine returns an engine positioned at time zero, with one shard.
-func NewEngine() *Engine { return &Engine{shards: 1} }
+// NewEngine returns an engine positioned at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
-// NewSharded returns an engine positioned at time zero whose Shards reports
-// k clamped to [1, numNodes]. Every event still runs on the one serial loop.
-func NewSharded(k, numNodes int) *Engine {
-	return &Engine{shards: max(1, min(k, numNodes))}
-}
+// NewSharded returns NewEngine(); k and numNodes are ignored.
+//
+// Deprecated: every run uses one serial engine. Use NewEngine.
+func NewSharded(k, numNodes int) *Engine { return NewEngine() }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -263,7 +258,3 @@ func (e *Engine) NodeAfter(node int, d float64, fn Event) Handle { return e.Afte
 
 // DeferFrom calls fn(t) at once; node is ignored.
 func (e *Engine) DeferFrom(node int, t float64, fn Event) { fn(t) }
-
-// Shards returns the shard count the engine was built with: the number of
-// workers the gossip cycle is spread over (1 from NewEngine).
-func (e *Engine) Shards() int { return e.shards }

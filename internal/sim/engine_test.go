@@ -388,12 +388,3 @@ func TestStopBeforeRunLeavesClockAtZero(t *testing.T) {
 		t.Fatalf("pending = %d, want the unfired event still queued", e.Pending())
 	}
 }
-
-func TestShardedClampsShardCount(t *testing.T) {
-	if got := NewSharded(8, 3).Shards(); got != 3 {
-		t.Fatalf("Shards() = %d, want clamp to 3 nodes", got)
-	}
-	if got := NewSharded(0, 5).Shards(); got != 1 {
-		t.Fatalf("Shards() = %d, want clamp to 1", got)
-	}
-}

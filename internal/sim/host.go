@@ -6,8 +6,6 @@ package sim
 //   - At/After/Every schedule events: gossip cycles, scheduling rounds,
 //     churn, submissions, metric snapshots, transfer landings and task
 //     completions.
-//   - Shards reports how many workers the gossip cycle is spread over (see
-//     gossip.Config.Workers); results are bit-identical at any value.
 //   - NodeAt, NodeAfter and DeferFrom are one-line forwards to At, After
 //     and a direct call. Nothing in the simulator calls them; they stay
 //     while the benchmark's traced driver (bench/trace.go) forwards them
@@ -20,7 +18,6 @@ type Host interface {
 	NodeAt(node int, t float64, fn Event) Handle
 	NodeAfter(node int, d float64, fn Event) Handle
 	DeferFrom(node int, t float64, fn Event)
-	Shards() int
 }
 
 // Driver is a Host that can also drive the run loop: what an experiment

@@ -36,10 +36,6 @@ type Config struct {
 	// recorded offset from a home node drawn uniformly from [0, Nodes).
 	// Arrival is ignored in trace mode — the trace IS the schedule.
 	Trace []traces.Job
-
-	// RefMIPS is the trace scaling rule's reference capacity; 0 picks
-	// the paper's average node capacity (6.2 MIPS).
-	RefMIPS float64
 }
 
 // Submission pairs a workflow with its home node and its virtual submit
@@ -61,11 +57,11 @@ type Submission struct {
 // Trace mode (cfg.Trace non-empty) replays a parsed grid trace with the
 // scaling rule: each trace job becomes one Table I DAG whose task loads
 // are uniformly rescaled so the DAG's total computational amount equals
-// the job's recorded work priced at the reference capacity —
-// totalMI = runtime_s x procs x RefMIPS — preserving each job's relative
-// weight while keeping the paper's DAG shapes, image sizes and data
-// volumes. Submit times are the trace's normalized offsets; homes are
-// drawn uniformly per job from an independent stream.
+// the job's recorded work priced at the paper's average node capacity —
+// totalMI = runtime_s x procs x 6.2 (ScaleToTraceJob) — preserving each
+// job's relative weight while keeping the paper's DAG shapes, image sizes
+// and data volumes. Submit times are the trace's normalized offsets; homes
+// are drawn uniformly per job from an independent stream.
 func Generate(cfg Config) ([]Submission, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("workload: need positive node count, got %d", cfg.Nodes)
@@ -100,15 +96,19 @@ func Generate(cfg Config) ([]Submission, error) {
 	return subs, nil
 }
 
+// ScaleToTraceJob is the trace scaling rule: it returns w with every task
+// load multiplied by one factor, so that the total is cpuSeconds x mips,
+// a trace job's recorded work (runtime x procs) priced at mips MIPS. A
+// workflow without load is returned as it is.
+func ScaleToTraceJob(w *dag.Workflow, cpuSeconds, mips float64) (*dag.Workflow, error) {
+	if total := w.TotalLoad(); total > 0 {
+		return w.ScaleLoads(cpuSeconds * mips / total)
+	}
+	return w, nil
+}
+
 // generateTrace implements trace-replay mode; see Generate for the rule.
 func generateTrace(cfg Config) ([]Submission, error) {
-	ref := cfg.RefMIPS
-	if ref == 0 {
-		ref = dag.PaperAvgCapacityMIPS
-	}
-	if ref < 0 {
-		return nil, fmt.Errorf("workload: negative reference capacity %v", ref)
-	}
 	rng := stats.NewRand(cfg.Seed, 0x33)
 	homeRng := stats.NewRand(cfg.Seed, 0x36)
 	subs := make([]Submission, 0, len(cfg.Trace))
@@ -126,12 +126,8 @@ func generateTrace(cfg Config) ([]Submission, error) {
 		if err != nil {
 			return nil, err
 		}
-		targetMI := job.Runtime * float64(job.Procs) * ref
-		if total := w.TotalLoad(); total > 0 {
-			w, err = w.ScaleLoads(targetMI / total)
-			if err != nil {
-				return nil, fmt.Errorf("workload: trace job %d: %w", i, err)
-			}
+		if w, err = ScaleToTraceJob(w, job.CPUSeconds(), dag.PaperAvgCapacityMIPS); err != nil {
+			return nil, fmt.Errorf("workload: trace job %d: %w", i, err)
 		}
 		subs = append(subs, Submission{
 			Home:     homeRng.Intn(cfg.Nodes),

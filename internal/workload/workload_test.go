@@ -126,7 +126,7 @@ func TestPoissonArrivalSpreadsSameWorkflows(t *testing.T) {
 
 // TestTraceReplayScalingRule pins the documented mapping: one workflow
 // per usable trace job, submitted at the job's offset, with total task
-// load runtime x procs x RefMIPS.
+// load runtime x procs x 6.2.
 func TestTraceReplayScalingRule(t *testing.T) {
 	jobs := []traces.Job{
 		{ID: 1, Submit: 0, Runtime: 100, Procs: 2},
@@ -162,15 +162,6 @@ func TestTraceReplayScalingRule(t *testing.T) {
 		if subs[i].Home != again[i].Home || subs[i].Workflow.TotalLoad() != again[i].Workflow.TotalLoad() {
 			t.Fatalf("trace replay not deterministic at job %d", i)
 		}
-	}
-	// A custom reference capacity scales proportionally.
-	cfg.RefMIPS = 12.4
-	doubled, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := doubled[0].Workflow.TotalLoad() / subs[0].Workflow.TotalLoad(); math.Abs(r-2) > 1e-9 {
-		t.Fatalf("RefMIPS doubling scaled loads by %v, want 2", r)
 	}
 	// Unusable or unordered trace jobs are rejected.
 	for _, bad := range [][]traces.Job{
