@@ -50,11 +50,20 @@ type RankedTask struct {
 // Flatten lists every schedule point of every view with its priorities, in
 // (workflow, task-id) order. Orderings permute this base list.
 func Flatten(views []WorkflowView) []RankedTask {
-	var out []RankedTask
+	out := make([]RankedTask, 0, countPoints(views))
 	for _, v := range views {
 		for _, t := range v.Points {
 			out = append(out, RankedTask{Task: t, RPM: v.RPM[t.ID], Makespan: v.Makespan})
 		}
 	}
 	return out
+}
+
+// countPoints returns the number of schedule points over views.
+func countPoints(views []WorkflowView) int {
+	n := 0
+	for _, v := range views {
+		n += len(v.Points)
+	}
+	return n
 }

@@ -24,13 +24,14 @@ func (c *gridCapture) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 	c.Phase1Scheduler.Schedule(g, home, now)
 }
 
-// TestCachedPhase1MatchesReference runs the matrix planners, with their
-// cached cells and +Inf column marks, and the DBC planners, with their
-// one-pass fallback, against the uncached reference planners in
-// export_test.go. The grids are small, priced and SLA-bound, under churn
-// with rescheduling, so refused dispatches and SLA fallbacks both occur.
-// Every task must land on the same node in the same dispatch order with
-// the same carried sufferage and run-time estimate.
+// TestCachedPhase1MatchesReference runs the list planners, with their
+// bounded search, the matrix planners, with their lazily priced cells and
+// +Inf column marks, and the DBC planners, with their bounded one-pass
+// fallback, against the full-search reference planners in export_test.go.
+// The grids are small, priced and SLA-bound, under churn with
+// rescheduling, so refused dispatches and SLA fallbacks both occur. Every
+// task must land on the same node in the same dispatch order with the same
+// carried sufferage and run-time estimate.
 func TestCachedPhase1MatchesReference(t *testing.T) {
 	price, err := economy.ParsePrice("1:0.3")
 	if err != nil {
@@ -41,6 +42,7 @@ func TestCachedPhase1MatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	algos := []grid.Algorithm{
+		heuristics.NewDSMF(), heuristics.NewDHEFT(), heuristics.NewDSDF(),
 		heuristics.NewMinMin(), heuristics.NewMaxMin(), heuristics.NewSufferage(),
 		heuristics.NewDBCCost(), heuristics.NewDBCTime(), heuristics.NewDBCCostTime(),
 	}
@@ -57,6 +59,8 @@ func TestCachedPhase1MatchesReference(t *testing.T) {
 			ref := algo
 			var refMatrix *core.ReferenceMatrixPhase1
 			switch p := algo.Phase1.(type) {
+			case *core.ListPhase1:
+				ref.Phase1 = &core.ReferenceListPhase1{Label: p.Label, Order: p.Order}
 			case *core.MatrixPhase1:
 				refMatrix = &core.ReferenceMatrixPhase1{Label: p.Label, Pick: p.Pick}
 				ref.Phase1 = refMatrix

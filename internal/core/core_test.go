@@ -361,6 +361,8 @@ func TestDSMFOrderIsSortedPermutation(t *testing.T) {
 				if w.Task(dag.TaskID(i)).Virtual {
 					continue
 				}
+				// No grid owns wf: DSMFOrder reads the view alone, never
+				// the grid's schedule-point count, so State is set by hand.
 				wf.Tasks[i].State = grid.TaskSchedulePoint
 				v.Points = append(v.Points, wf.Tasks[i])
 				if rpm[i] > v.Makespan {

@@ -113,19 +113,36 @@ func (s *DBCPhase1) pick(g *grid.Grid, rt RankedTask, cands []Candidate, now, av
 		}
 	}
 
-	load := rt.Task.Task().Load
+	task := rt.Task.Task()
+	load := task.Load
+	// A candidate's FT is at least R + et, so R + et alone can decide the
+	// comparisons FT enters: the fallback's, the deadline filter and the
+	// mode's tie-break. Only a NaN image size makes FT NaN where R + et is
+	// not (see transferTerm), and a NaN FT passes the deadline filter, so
+	// such a task is priced on every candidate.
+	bounded := !math.IsNaN(task.ImageMb)
 	bestIdx, bestFT, bestPrice := -1, math.Inf(1), math.Inf(1)
 	// anyIdx is the unconstrained earliest finisher, as BestNode picks it.
 	anyIdx, anyFT := -1, math.Inf(1)
 	for i := range cands {
-		ft := FinishTime(g, rt.Task, cands[i])
+		c := &cands[i]
+		price := load * g.PriceOf(c.Node)
+		var ft float64
+		if c.CapacityMIPS <= 0 {
+			ft = math.Inf(1) // as FinishTime; a NaN capacity is priced, to NaN
+		} else {
+			r, et := c.TotalLoadMI/c.CapacityMIPS, load/c.CapacityMIPS
+			if lb := r + et; bounded && lb >= anyFT && s.ruledOut(lb, price, taskDeadline, budget, bestIdx, bestFT, bestPrice) {
+				continue
+			}
+			ft = finish(r, transferTerm(g, rt.Task, c.Node, 0, math.Inf(1)), et)
+		}
 		if ft < anyFT {
 			anyIdx, anyFT = i, ft
 		}
 		if ft > taskDeadline {
 			continue
 		}
-		price := load * g.PriceOf(cands[i].Node)
 		if price > budget {
 			continue
 		}
@@ -143,4 +160,21 @@ func (s *DBCPhase1) pick(g *grid.Grid, rt RankedTask, cands []Candidate, now, av
 		return bestIdx, true
 	}
 	return anyIdx, false
+}
+
+// ruledOut reports whether a candidate whose FT is at least lb, and not
+// NaN, at price price cannot become the constrained pick: its FT busts the
+// deadline, its price the budget, or it loses the mode's comparison to the
+// pick so far.
+func (s *DBCPhase1) ruledOut(lb, price, deadline, budget float64, bestIdx int, bestFT, bestPrice float64) bool {
+	switch {
+	case lb > deadline, price > budget:
+		return true
+	case bestIdx < 0:
+		return false
+	case s.Mode == DBCTime:
+		return lb >= bestFT
+	default:
+		return price > bestPrice || (price == bestPrice && lb >= bestFT)
+	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/grid"
 )
@@ -13,21 +13,31 @@ import (
 // the best resources first. All ties break on stable (submission, task-id)
 // order for determinism.
 func DSMFOrder(views []WorkflowView) []RankedTask {
-	ordered := append([]WorkflowView(nil), views...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		return ordered[i].Makespan < ordered[j].Makespan
-	})
-	var out []RankedTask
+	ordered := slices.Clone(views)
+	slices.SortStableFunc(ordered, func(a, b WorkflowView) int { return Ascending(a.Makespan, b.Makespan) })
+	out := make([]RankedTask, 0, countPoints(views))
 	for _, v := range ordered {
-		points := append([]*grid.TaskInstance(nil), v.Points...)
-		sort.SliceStable(points, func(i, j int) bool {
-			return v.RPM[points[i].ID] > v.RPM[points[j].ID]
-		})
-		for _, t := range points {
+		start := len(out)
+		for _, t := range v.Points {
 			out = append(out, RankedTask{Task: t, RPM: v.RPM[t.ID], Makespan: v.Makespan})
 		}
+		slices.SortStableFunc(out[start:], func(a, b RankedTask) int { return Ascending(b.RPM, a.RPM) })
 	}
 	return out
+}
+
+// Ascending compares x and y with < alone, as a sort.SliceStable less
+// function does, for slices.SortStableFunc: both run the same insertion
+// sort and symmerge on the outcomes of "less", so the permutation is the
+// same, a NaN included. (cmp.Compare would order a NaN first.)
+func Ascending(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }
 
 // DSMFPhase2 is Algorithm 2: among the data-complete ready tasks, run the

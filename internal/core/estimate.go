@@ -73,19 +73,31 @@ func homeCandidate(home *grid.Node) Candidate {
 // many tasks on the same candidates (MatrixPhase1) computes transferTerm
 // and et once per task and candidate and recombines them with the current
 // R through finish.
+//
+// LTD is the costly part: one landmark estimate per input. IEEE addition
+// is monotone, so FT >= R + et whenever FT is not NaN, and the planners
+// skip pricing a candidate whose R + et already loses (see BestNode).
 func FinishTime(g *grid.Grid, t *grid.TaskInstance, c Candidate) float64 {
 	if c.CapacityMIPS <= 0 {
 		return math.Inf(1)
 	}
-	return finish(c.TotalLoadMI/c.CapacityMIPS, transferTerm(g, t, c.Node), t.Task().Load/c.CapacityMIPS)
+	return finish(c.TotalLoadMI/c.CapacityMIPS, transferTerm(g, t, c.Node, 0, math.Inf(1)), t.Task().Load/c.CapacityMIPS)
 }
 
 // transferTerm is LTD of Eq. 4: the estimated time until t's image and
-// every precedent's output data have reached node.
-func transferTerm(g *grid.Grid, t *grid.TaskInstance, node int) float64 {
+// every precedent's output data have reached node. It stops adding
+// precedents once the running maximum ltd has ltd + et >= bound, since
+// FT >= ltd + et then cannot beat bound either; with bound = +Inf it
+// returns the full term. A transfer term is never negative, and it is NaN
+// only when the image's estimate is (a NaN data term never wins the
+// running maximum), which on a validated topology takes a NaN image size.
+func transferTerm(g *grid.Grid, t *grid.TaskInstance, node int, et, bound float64) float64 {
 	est := g.Estimator()
 	ltd := est.EstimateTransferTime(t.WF.Home, node, t.Task().ImageMb)
 	for _, e := range t.WF.W.Predecessors(t.ID) {
+		if ltd+et >= bound {
+			break
+		}
 		pred := t.WF.Tasks[e.From]
 		src := pred.Node
 		if src < 0 {
@@ -107,10 +119,26 @@ func finish(r, ltd, et float64) float64 {
 // BestNode applies Formula 9: the candidate index minimizing FT(tau, p_h),
 // ties broken toward the lower node id for determinism. It returns -1 for
 // an empty candidate set.
+//
+// It is an exact branch-and-bound over the candidates in order: a
+// candidate whose R + et is not below the best FT so far is skipped
+// unpriced, and pricing one stops adding precedents once LTD + et is not
+// below it. Either way its FT is at least the best (or NaN, as when the
+// image size is NaN), which the strict < of the full search never takes,
+// so the pick and its FT are the full search's bit for bit.
 func BestNode(g *grid.Grid, t *grid.TaskInstance, cands []Candidate) (idx int, ft float64) {
 	idx, ft = -1, math.Inf(1)
+	load := t.Task().Load
 	for i := range cands {
-		if v := FinishTime(g, t, cands[i]); v < ft {
+		c := &cands[i]
+		if c.CapacityMIPS <= 0 {
+			continue // FT is +Inf
+		}
+		r, et := c.TotalLoadMI/c.CapacityMIPS, load/c.CapacityMIPS
+		if r+et >= ft {
+			continue
+		}
+		if v := finish(r, transferTerm(g, t, c.Node, et, ft), et); v < ft {
 			idx, ft = i, v
 		}
 	}

@@ -33,6 +33,58 @@ func computeRow(g *grid.Grid, rt RankedTask, cands []Candidate) MatrixRow {
 	return row
 }
 
+// referenceBestNode is Formula 9 as a full search: every candidate is
+// rated through FinishTime, and the first least FT wins.
+func referenceBestNode(g *grid.Grid, t *grid.TaskInstance, cands []Candidate) (idx int, ft float64) {
+	idx, ft = -1, math.Inf(1)
+	for i := range cands {
+		if v := FinishTime(g, t, cands[i]); v < ft {
+			idx, ft = i, v
+		}
+	}
+	return idx, ft
+}
+
+// ReferenceListPhase1 is the list planner ListPhase1 must match decision
+// for decision: each task goes to referenceBestNode's pick.
+type ReferenceListPhase1 struct {
+	Label string
+	Order func(views []WorkflowView) []RankedTask
+}
+
+// Name implements grid.Phase1Scheduler.
+func (s *ReferenceListPhase1) Name() string { return s.Label }
+
+// Schedule implements grid.Phase1Scheduler.
+func (s *ReferenceListPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
+	views := Analyze(g, home)
+	if len(views) == 0 {
+		return
+	}
+	cands := Candidates(g, home)
+	if len(cands) == 0 {
+		return
+	}
+	for _, rt := range s.Order(views) {
+		if rt.Task.State != grid.TaskSchedulePoint {
+			continue
+		}
+		for len(cands) > 0 {
+			idx, _ := referenceBestNode(g, rt.Task, cands)
+			if idx < 0 {
+				return
+			}
+			if dispatchTo(g, home, rt.Task, cands, idx, rt.RPM, rt.Makespan) {
+				break
+			}
+			cands = removeCandidate(cands, idx)
+		}
+		if len(cands) == 0 {
+			return
+		}
+	}
+}
+
 // ReferenceMatrixPhase1 is the uncached matrix planner MatrixPhase1 must
 // match decision for decision: it recomputes every pending row through
 // FinishTime after each placement and deletes a refused candidate from the
@@ -94,8 +146,8 @@ func (s *ReferenceMatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now floa
 }
 
 // ReferenceDBCPhase1 is the DBC planner DBCPhase1 must match decision for
-// decision: on fallback it takes a second pass over the candidates through
-// BestNode.
+// decision: it rates every candidate through FinishTime, and on fallback it
+// takes a second pass over the candidates through referenceBestNode.
 type ReferenceDBCPhase1 struct {
 	Label string
 	Mode  DBCMode
@@ -183,6 +235,6 @@ func (s *ReferenceDBCPhase1) pick(g *grid.Grid, rt RankedTask, cands []Candidate
 	if bestIdx >= 0 {
 		return bestIdx, true
 	}
-	idx, _ = BestNode(g, rt.Task, cands)
+	idx, _ = referenceBestNode(g, rt.Task, cands)
 	return idx, false
 }

@@ -101,6 +101,8 @@ func fig3Views(t *testing.T) []core.WorkflowView {
 		rpm := dag.RPM(w, est1)
 		v := core.WorkflowView{WF: wf, Est: est1, RPM: rpm}
 		for _, id := range pts {
+			// No grid owns wf: the orderings and picks read the view
+			// alone, never the grid's schedule-point count.
 			wf.Tasks[id].State = grid.TaskSchedulePoint
 			v.Points = append(v.Points, wf.Tasks[id])
 			if rpm[id] > v.Makespan {

@@ -32,12 +32,43 @@ func (r MatrixRow) Sufferage() float64 {
 // the transfer term LTD and the run time et (see FinishTime).
 type ftTerms struct{ ltd, et float64 }
 
+// unpriced is the ltd of a cell whose transfer term no rescan has needed
+// yet; a transfer term is never negative.
+const unpriced = -1
+
+// newRow sets up rt's row over cands in terms, one cell per candidate: the
+// run time now and the transfer term on demand (rescan). A candidate
+// without capacity gets a priced zero cell; queueDelay puts its column at
+// +Inf.
+func newRow(rt RankedTask, cands []Candidate, terms []ftTerms) MatrixRow {
+	load := rt.Task.Task().Load
+	for j, c := range cands {
+		if c.CapacityMIPS > 0 {
+			terms[j] = ftTerms{unpriced, load / c.CapacityMIPS}
+		} else {
+			terms[j] = ftTerms{}
+		}
+	}
+	return MatrixRow{Task: rt.Task, RPM: rt.RPM, Makespan: rt.Makespan, terms: terms}
+}
+
 // rescan recomputes the row's best and second-best FT from its cells and
-// every candidate's current queueing delay R.
-func (r *MatrixRow) rescan(delay []float64) {
+// every candidate's current queueing delay R. It prices an unpriced cell
+// only when R + et is below the running second-best FT: otherwise its FT
+// is at least that (or NaN) and the strict < comparisons would pass it
+// over, so the outcome is the full scan's bit for bit. Once priced, a cell
+// keeps its LTD for the rest of the call.
+func (r *MatrixRow) rescan(g *grid.Grid, cands []Candidate, delay []float64) {
 	r.BestIdx, r.BestFT, r.SecondFT = -1, math.Inf(1), math.Inf(1)
 	delay = delay[:len(r.terms)]
-	for i, c := range r.terms {
+	for i := range r.terms {
+		c := &r.terms[i]
+		if c.ltd == unpriced {
+			if delay[i]+c.et >= r.SecondFT {
+				continue
+			}
+			c.ltd = transferTerm(g, r.Task, cands[i].Node, 0, math.Inf(1))
+		}
 		ft := finish(delay[i], c.ltd, c.et)
 		switch {
 		case ft < r.BestFT:
@@ -55,10 +86,12 @@ func (r *MatrixRow) rescan(delay []float64) {
 // build the FT matrix over (schedule point x candidate), repeatedly pick
 // one row by the family rule, place the task on its best node, update that
 // node's load, and rescan. A placement moves only the placed candidate's
-// queueing delay R, so each call first fills a table of every cell's
-// transfer term and run time, an O(T·C·(1+P)) pass of estimates over the
-// T schedule points, C candidates and P precedents per point; each rescan
-// is then a max-and-add per cell, O(T²·C) over the call.
+// queueing delay R, so a call keeps a table of every cell's transfer term
+// and run time over the T schedule points and C candidates. A cell's
+// transfer term, O(1+P) estimates over its P precedents, is priced by the
+// first rescan that cannot rule the cell out on R + et alone, and never
+// again in the call; each rescan is otherwise a max-and-add per cell,
+// O(T²·C) over the call.
 type MatrixPhase1 struct {
 	Label string
 	// Pick returns the index of the chosen row.
@@ -92,15 +125,7 @@ func (s *MatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 	}
 	rows := s.rowBuf[:0]
 	for i, rt := range pending {
-		terms := s.termBuf[i*nc : (i+1)*nc]
-		for j, c := range cands {
-			if c.CapacityMIPS > 0 {
-				terms[j] = ftTerms{transferTerm(g, rt.Task, c.Node), rt.Task.Task().Load / c.CapacityMIPS}
-			} else {
-				terms[j] = ftTerms{} // queueDelay puts the column at +Inf
-			}
-		}
-		rows = append(rows, MatrixRow{Task: rt.Task, RPM: rt.RPM, Makespan: rt.Makespan, terms: terms})
+		rows = append(rows, newRow(rt, cands, s.termBuf[i*nc:(i+1)*nc]))
 	}
 	s.rowBuf = rows
 	delay := s.delayBuf[:0]
@@ -123,7 +148,7 @@ func (s *MatrixPhase1) Schedule(g *grid.Grid, home *grid.Node, now float64) {
 			return
 		}
 		for i := range rows {
-			rows[i].rescan(delay)
+			rows[i].rescan(g, cands, delay)
 		}
 		pick := s.Pick(rows)
 		if pick < 0 || pick >= len(rows) {

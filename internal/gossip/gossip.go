@@ -177,6 +177,12 @@ func (c Config) slotsPerSender() int {
 	return max(1, min(c.FanOut, c.N-1))
 }
 
+// mergeLists is the most lists one merge takes: the receiver's cache and
+// the pushes of up to twice the fan-out senders. A receiver takes about
+// half the fan-out pushes at a time, so a longer batch, which deliver
+// merges in consecutive chunks, is rare.
+func (c Config) mergeLists() int { return 1 + 2*c.slotsPerSender() }
+
 // idleMemo caches one IdleKnown answer per node. A cached count stays valid
 // while the simulated clock and the cache version are unchanged: expiry
 // depends only on the clock, and every mutation bumps the version. Metric
@@ -285,7 +291,7 @@ func New(engine Clock, cfg Config, local LocalState) (*Protocol, error) {
 		p.cache[i] = backing[i*stride : i*stride : (i+1)*stride]
 	}
 	p.inbox = newInbox(cfg.N, cfg.slotsPerSender())
-	p.merge = newMerger(cfg.N, stride)
+	p.merge = newMerger(cfg.N, cfg.mergeLists(), stride)
 	for i := 0; i < cfg.N; i++ {
 		s := local.Snapshot(i)
 		p.capacity[i] = s.Capacity
@@ -444,14 +450,13 @@ type merger struct {
 	seq   uint32
 }
 
-// newMerger sizes a merger for n nodes, whose merges take up to n lists
-// (a receiver and every other node as a sender), and caches of capacity
-// stride.
-func newMerger(n, stride int) merger {
+// newMerger sizes a merger for n origins, merges of up to lists lists and
+// caches of capacity stride.
+func newMerger(n, lists, stride int) merger {
 	return merger{
 		spare: make([]record, 0, stride),
-		rest:  make([][]record, n),
-		keys:  make([]uint64, n),
+		rest:  make([][]record, lists),
+		keys:  make([]uint64, lists),
 		seen:  make([]uint32, n),
 	}
 }
@@ -472,11 +477,27 @@ func head(recs []record, live, hop uint64) ([]record, uint64) {
 }
 
 // deliver merges pushes into one cache: nodes[0] receives the pushes of
-// nodes[1:], made in that order in this cycle. Each push is the sender's
-// forward list, read straight from its cache: its live records with a hop
-// left, each with that hop spent. A sender's cache does not change between
-// its pushes and the merge that delivers them, so that is what it pushed.
-// The caller has counted the traffic.
+// nodes[1:], made in that order in this cycle. A merge takes at most
+// len(p.merge.keys) lists, so a longer batch goes in consecutive merges of
+// its senders in order; one merge of k pushes equals the k pushes one at a
+// time, so the chunks compose. deliver overwrites nodes.
+func (p *Protocol) deliver(nodes []int32, live uint64) {
+	to, lists := nodes[0], len(p.merge.keys)
+	for len(nodes) > lists {
+		p.mergePushes(nodes[:lists], live)
+		nodes = nodes[lists-1:]
+		nodes[0] = to
+	}
+	p.mergePushes(nodes, live)
+	p.version[to]++
+}
+
+// mergePushes is one merge of deliver's, of at most len(p.merge.keys)
+// lists: nodes[0] receives the pushes of nodes[1:], in that order. Each
+// push is the sender's forward list, read straight from its cache: its
+// live records with a hop left, each with that hop spent. A sender's cache
+// does not change between its pushes and the merge that delivers them, so
+// that is what it pushed. The caller has counted the traffic.
 //
 // The receiver's live head and the forward lists are all in eviction
 // order, so the receiver's new cache is one merge of them (merger.run).
@@ -487,7 +508,7 @@ func head(recs []record, live, hop uint64) ([]record, uint64) {
 // record is then still pending, its first copy in merge order is appended;
 // it sorts after everything placed. The merge writes into p.merge.spare,
 // which then trades places with the receiver's cache.
-func (p *Protocol) deliver(nodes []int32, live uint64) {
+func (p *Protocol) mergePushes(nodes []int32, live uint64) {
 	m := &p.merge
 	to := int(nodes[0])
 	recs := p.cache[to]
@@ -534,7 +555,6 @@ func (p *Protocol) deliver(nodes []int32, live uint64) {
 	}
 	p.cache[to], m.spare = m.spare[:placed], recs[:0]
 	p.fwd[to], p.ownMint[to] = fwd, ownMint
-	p.version[to]++
 }
 
 // run merges m's first n lists into m.spare until room records other than

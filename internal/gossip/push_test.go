@@ -106,11 +106,16 @@ const (
 	pushNodes  = 64
 	maxPushCap = 13
 	maxSenders = 6
+	// chunkFanOut is the fan-out of the harness whose merges take two
+	// senders each (Config.mergeLists), so that deliver splits a batch of
+	// three or more senders into consecutive merges.
+	chunkFanOut = 1
 )
 
 // pushHarness is a protocol from New whose caches a test installs
 // directly; its merger is reused across trials, as across a cycle's
-// merges. mints0 is the length of New's mint table, before any cycle
+// merges. A fan-out of 0 takes the default, log2(pushNodes), whose merges
+// hold every batch of up to maxSenders senders. mints0 is the length of New's mint table, before any cycle
 // minted.
 // checks counts the merges checked; every other one bounds the origins'
 // keys as loosely as it can, so the merge scans the senders for the
@@ -121,8 +126,8 @@ type pushHarness struct {
 	checks int
 }
 
-func newPushHarness() *pushHarness {
-	p, err := New(sim.NewEngine(), Config{N: pushNodes, CacheCapacity: maxPushCap}, newFakeGrid(pushNodes, 1))
+func newPushHarness(fanOut int) *pushHarness {
+	p, err := New(sim.NewEngine(), Config{N: pushNodes, CacheCapacity: maxPushCap, FanOut: fanOut}, newFakeGrid(pushNodes, 1))
 	if err != nil {
 		panic(err)
 	}
@@ -427,7 +432,7 @@ func stampFamilies(rng *rand.Rand) []struct {
 // expiry and every placement of the owner's record.
 func TestPushMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	h := newPushHarness()
+	h := newPushHarness(0)
 	for _, f := range stampFamilies(rng) {
 		for trial := 0; trial < 5000; trial++ {
 			if trial == 2500 {
@@ -440,17 +445,24 @@ func TestPushMatchesReference(t *testing.T) {
 
 // TestDeliverMatchesReference pins the merge of k = 1-6 senders' pushes to
 // k pushes one at a time, each the origin-order reference, over the same
-// mint-time families and owner placements.
+// mint-time families and owner placements: in one merge, and on the
+// chunkFanOut harness in merges of two senders, so that k = 3-6 arrive in
+// two or three chunks.
 func TestDeliverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	h := newPushHarness()
-	for _, f := range stampFamilies(rng) {
-		for trial := 0; trial < 3000; trial++ {
-			if trial == 1500 {
-				h.p.merge.seq = math.MaxUint32 - 3
+	for _, fanOut := range []int{0, chunkFanOut} {
+		h := newPushHarness(fanOut)
+		if fanOut == chunkFanOut && len(h.p.merge.keys) != 3 {
+			t.Fatalf("the chunk harness merges %d lists at a time, want 3", len(h.p.merge.keys))
+		}
+		for _, f := range stampFamilies(rng) {
+			for trial := 0; trial < 3000; trial++ {
+				if trial == 1500 {
+					h.p.merge.seq = math.MaxUint32 - 3
+				}
+				k := 1 + trial%maxSenders
+				h.check(t, f.name, drawDelivery(rng, f.stamp, trial/maxSenders%ownerCases, k))
 			}
-			k := 1 + trial%maxSenders
-			h.check(t, f.name, drawDelivery(rng, f.stamp, trial/maxSenders%ownerCases, k))
 		}
 	}
 }
@@ -542,7 +554,7 @@ func TestDeliverCases(t *testing.T) {
 		}, map[int]float64{20: -1, 22: -1, 23: 1, 24: 2, 26: 3, 28: 4, 32: 6, 35: 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := newPushHarness().check(t, tc.name, tc.d)
+			got := newPushHarness(0).check(t, tc.name, tc.d)
 			for origin, load := range tc.want {
 				i := slices.IndexFunc(got, func(r StateRecord) bool { return r.Node == origin })
 				switch {
@@ -593,7 +605,7 @@ func fuzzStamp(c int) float64 {
 // testdata/fuzz/FuzzPush covers each mint-time family, capacities 1-13,
 // every placement of the owner's record and same-minting TTL pairs.
 func FuzzPush(f *testing.F) {
-	h := newPushHarness()
+	h := newPushHarness(0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		const universe = 16
@@ -633,7 +645,9 @@ func FuzzPush(f *testing.F) {
 // FuzzDeliver drives the k-sender comparison from fuzz bytes. The first
 // three bytes pick the capacity (1-13), the receiver among 16 origins, and
 // the number of senders k (1-6) with an offset that places them after the
-// receiver. Each following four-byte group adds one origin's records:
+// receiver; the third byte's quotient by 60, when odd, runs the comparison
+// on the chunkFanOut harness, where k = 3-6 arrive in consecutive merges.
+// Each following four-byte group adds one origin's records:
 //   - the origin;
 //   - the lists holding it, a non-empty subset of the receiver and the k
 //     senders;
@@ -645,15 +659,17 @@ func FuzzPush(f *testing.F) {
 //
 // Each copy carries a load of its own, so an equal key shows which copy
 // was kept. The seed corpus in testdata/fuzz/FuzzDeliver covers k = 1-6,
-// capacities 1-13, equal keys and every placement of the owner's record.
+// capacities 1-13, equal keys, every placement of the owner's record, and
+// (the chunked-* files) batches of 3-6 senders in chunks.
 func FuzzDeliver(f *testing.F) {
-	h := newPushHarness()
+	hs := [2]*pushHarness{newPushHarness(0), newPushHarness(chunkFanOut)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		const universe = 16
 		d := delivery{capacity: 1 + in.next()%maxPushCap, to: in.next() % universe}
 		kb := in.next()
 		k, offset := 1+kb%maxSenders, kb/maxSenders%(universe-maxSenders)
+		h := hs[kb/(maxSenders*(universe-maxSenders))%2]
 		d.srcs = make([][]StateRecord, k)
 		for j := 0; j < k; j++ {
 			d.from = append(d.from, (d.to+1+offset+j)%universe)

@@ -371,7 +371,7 @@ func TestMaxReschedulesBoundsRetries(t *testing.T) {
 			t.Fatalf("round %d: dispatch refused", i)
 		}
 		// Force it to running state so the kill is fatal, not a hand-back.
-		tx.State = TaskRunning
+		tx.setState(TaskRunning)
 		g.Nodes[1].Running = tx
 		g.failNode(&g.Nodes[1], float64(i))
 		g.reviveNode(&g.Nodes[1], float64(i)+0.5)

@@ -28,7 +28,7 @@ func (g *Grid) Dispatch(t *TaskInstance, to int, rpm, ms float64) bool {
 	node := &g.Nodes[to]
 	task := t.Task()
 
-	t.State = TaskDispatched
+	t.setState(TaskDispatched)
 	t.Node = to
 	t.RPMAtDispatch = rpm
 	t.MsAtDispatch = ms
@@ -96,7 +96,7 @@ func (g *Grid) startInputTransfer(t *TaskInstance, src int, sizeMb float64, gen 
 		if t.pendingInputs > 0 {
 			return
 		}
-		t.State = TaskReady
+		t.setState(TaskReady)
 		t.ReadyAt = at
 		node := &g.Nodes[t.Node]
 		node.ready = append(node.ready, t)
@@ -118,7 +118,7 @@ func (g *Grid) maybeRun(node *Node, now float64) {
 		panic(fmt.Sprintf("grid: phase-2 policy %q returned invalid task", g.algo.Phase2.Name()))
 	}
 	node.removeFromReady(t)
-	t.State = TaskRunning
+	t.setState(TaskRunning)
 	t.StartedAt = now
 	node.Running = t
 	g.emit(trace.KindExecStart, node.ID, nil, t)
@@ -144,7 +144,7 @@ func (g *Grid) taskFinished(t *TaskInstance, gen int, now float64) {
 		// residual, however tiny - clamping it would misprice real load.
 		node.TotalLoadMI = 0
 	}
-	t.State = TaskDone
+	t.setState(TaskDone)
 	t.NodeInc = node.Incarnation
 	t.FinishedAt = now
 	g.emit(trace.KindExecEnd, node.ID, nil, t)

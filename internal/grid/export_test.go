@@ -20,6 +20,9 @@ func (g *Grid) CompletedWorkflows() []*WorkflowInstance {
 // (virtual tasks included).
 func (wf *WorkflowInstance) DoneTaskCount() int { return wf.doneCount }
 
+// SchedulePointCount exposes the kept count of wf's schedule points.
+func (wf *WorkflowInstance) SchedulePointCount() int { return wf.points }
+
 // PredsDone exposes the activation counter.
 func (t *TaskInstance) PredsDone() int { return t.predsDone }
 

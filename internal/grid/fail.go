@@ -28,7 +28,7 @@ func (g *Grid) failTask(t *TaskInstance, now float64) {
 		}
 	}
 	t.gen++
-	t.State = TaskFailed
+	t.setState(TaskFailed)
 	t.Node = -1
 	t.pendingInputs = 0
 
@@ -81,9 +81,9 @@ func (g *Grid) revertTask(t *TaskInstance) {
 	}
 	t.predsDone = done
 	if done == len(preds) {
-		t.State = TaskSchedulePoint
+		t.setState(TaskSchedulePoint)
 	} else {
-		t.State = TaskBlocked
+		t.setState(TaskBlocked)
 	}
 }
 
@@ -102,7 +102,7 @@ func (g *Grid) revertDone(p *TaskInstance) {
 		s := p.WF.Tasks[e.To]
 		s.predsDone--
 		if s.State == TaskSchedulePoint {
-			s.State = TaskBlocked
+			s.setState(TaskBlocked)
 		}
 	}
 	g.revertTask(p)
@@ -154,7 +154,7 @@ func (g *Grid) handBack(t *TaskInstance, now float64) {
 	t.gen++
 	t.Node = -1
 	t.pendingInputs = 0
-	t.State = TaskSchedulePoint // precedents were done at dispatch time
+	t.setState(TaskSchedulePoint) // precedents were done at dispatch time
 	g.HandedBack++
 	g.emit(trace.KindHandBack, -1, nil, t)
 }

@@ -373,13 +373,8 @@ func (g *Grid) schedulingCycle(now float64) {
 
 func (g *Grid) hasSchedulePoints(nd *Node) bool {
 	for _, wf := range nd.Homed {
-		if wf.State != WorkflowActive {
-			continue
-		}
-		for _, t := range wf.Tasks {
-			if t.State == TaskSchedulePoint {
-				return true
-			}
+		if wf.State == WorkflowActive && wf.points > 0 {
+			return true
 		}
 	}
 	return false

@@ -17,12 +17,18 @@ func (g *Grid) ActiveWorkflows(home int) []*WorkflowInstance {
 
 // SchedulePoints returns wf's current schedule-point set spset(f): tasks
 // whose precedents are all finished but which have not been dispatched yet,
-// in task-id order.
+// in task-id order. The kept count sizes the result and ends the walk at
+// the last schedule point.
 func (g *Grid) SchedulePoints(wf *WorkflowInstance) []*TaskInstance {
-	var out []*TaskInstance
+	if wf.points == 0 {
+		return nil
+	}
+	out := make([]*TaskInstance, 0, wf.points)
 	for _, t := range wf.Tasks {
 		if t.State == TaskSchedulePoint {
-			out = append(out, t)
+			if out = append(out, t); len(out) == wf.points {
+				break
+			}
 		}
 	}
 	return out

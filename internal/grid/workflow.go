@@ -70,8 +70,10 @@ func (s WorkflowState) String() string {
 
 // TaskInstance is the runtime state of one workflow task.
 type TaskInstance struct {
-	WF    *WorkflowInstance
-	ID    dag.TaskID
+	WF *WorkflowInstance
+	ID dag.TaskID
+	// State is read-only outside the grid: the grid moves it through
+	// setState, which keeps the workflow's schedule-point count.
 	State TaskState
 
 	// Node is the resource node the task was dispatched to (and, once done,
@@ -111,6 +113,19 @@ type TaskInstance struct {
 // Task returns the static DAG task.
 func (t *TaskInstance) Task() dag.Task { return t.WF.W.Task(t.ID) }
 
+// setState moves t to state s. Every transition the grid makes goes
+// through it, so the workflow's schedule-point count stays exact and a
+// scheduling round reads it instead of walking the workflow's tasks.
+func (t *TaskInstance) setState(s TaskState) {
+	if t.State == TaskSchedulePoint {
+		t.WF.points--
+	}
+	if s == TaskSchedulePoint {
+		t.WF.points++
+	}
+	t.State = s
+}
+
 // WorkflowInstance is a submitted workflow plus its runtime bookkeeping.
 type WorkflowInstance struct {
 	Seq         int // global submission index
@@ -136,6 +151,7 @@ type WorkflowInstance struct {
 	DeadlineMissed bool
 
 	doneCount int
+	points    int // tasks in TaskSchedulePoint, kept by setState
 
 	// PlannedNodes holds the full-ahead assignment (task -> node) for
 	// planner algorithms; nil under just-in-time scheduling.
@@ -216,7 +232,7 @@ func (g *Grid) activate(t *TaskInstance, now float64) {
 		g.completeLocally(t, now)
 		return
 	}
-	t.State = TaskSchedulePoint
+	t.setState(TaskSchedulePoint)
 	if t.WF.PlannedNodes != nil {
 		target, ok := t.WF.PlannedNodes[int(t.ID)]
 		if !ok {
@@ -312,7 +328,7 @@ func (g *Grid) SubmitStream(next func() (at float64, home int, w *dag.Workflow, 
 // completeLocally finishes a zero-cost virtual task at the home node and
 // propagates readiness to its successors.
 func (g *Grid) completeLocally(t *TaskInstance, now float64) {
-	t.State = TaskDone
+	t.setState(TaskDone)
 	t.Node = t.WF.Home
 	t.NodeInc = g.Nodes[t.WF.Home].Incarnation
 	t.FinishedAt = now

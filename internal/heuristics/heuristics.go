@@ -9,7 +9,7 @@ package heuristics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -30,7 +30,7 @@ func NewSMF() grid.Algorithm { return core.NewSMF() }
 // scheduling phases" of the decentralized HEFT.
 func dheftOrder(views []core.WorkflowView) []core.RankedTask {
 	out := core.Flatten(views)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].RPM > out[j].RPM })
+	slices.SortStableFunc(out, func(a, b core.RankedTask) int { return core.Ascending(b.RPM, a.RPM) })
 	return out
 }
 
@@ -67,8 +67,8 @@ func Deadline(ms, rpm float64) float64 { return ms - rpm }
 // dsdfOrder ranks every schedule point by ascending deadline.
 func dsdfOrder(views []core.WorkflowView) []core.RankedTask {
 	out := core.Flatten(views)
-	sort.SliceStable(out, func(i, j int) bool {
-		return Deadline(out[i].Makespan, out[i].RPM) < Deadline(out[j].Makespan, out[j].RPM)
+	slices.SortStableFunc(out, func(a, b core.RankedTask) int {
+		return core.Ascending(Deadline(a.Makespan, a.RPM), Deadline(b.Makespan, b.RPM))
 	})
 	return out
 }
